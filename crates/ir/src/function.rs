@@ -140,9 +140,7 @@ impl Function {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for (i, b) in self.blocks.iter().enumerate() {
             if let Some(t) = &b.term {
-                for s in t.successors() {
-                    preds[s.0 as usize].push(BlockId(i as u32));
-                }
+                t.for_each_successor(|s| preds[s.0 as usize].push(BlockId(i as u32)));
             }
         }
         preds
@@ -165,10 +163,12 @@ impl Function {
             }
             visited[bb.0 as usize] = true;
             stack.push((bb, true));
-            for s in self.successors(bb) {
-                if !visited[s.0 as usize] {
-                    stack.push((s, false));
-                }
+            if let Some(t) = &self.block(bb).term {
+                t.for_each_successor(|s| {
+                    if !visited[s.0 as usize] {
+                        stack.push((s, false));
+                    }
+                });
             }
         }
         post.reverse();

@@ -265,16 +265,37 @@ impl Inst {
 
     /// All value operands (for remapping during cloning).
     pub fn operands(&self) -> Vec<Value> {
+        let mut ops = Vec::new();
+        self.for_each_operand(|v| ops.push(v));
+        ops
+    }
+
+    /// Visits every value operand, in [`Inst::operands`] order, without
+    /// allocating.
+    pub fn for_each_operand(&self, mut f: impl FnMut(Value)) {
         match self {
-            Inst::Alloca { .. } => Vec::new(),
-            Inst::Load { ptr, .. } => vec![*ptr],
-            Inst::Store { val, ptr } => vec![*val, *ptr],
-            Inst::Gep { ptr, index, .. } => vec![*ptr, *index],
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::Cast { val, .. } => vec![*val],
-            Inst::Select { cond, t, f } => vec![*cond, *t, *f],
-            Inst::Phi { incoming, .. } => incoming.iter().map(|(_, v)| *v).collect(),
-            Inst::Call { args, .. } => args.clone(),
+            Inst::Alloca { .. } => {}
+            Inst::Load { ptr, .. } => f(*ptr),
+            Inst::Store { val, ptr } => {
+                f(*val);
+                f(*ptr);
+            }
+            Inst::Gep { ptr, index, .. } => {
+                f(*ptr);
+                f(*index);
+            }
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Inst::Cast { val, .. } => f(*val),
+            Inst::Select { cond, t, f: fv } => {
+                f(*cond);
+                f(*t);
+                f(*fv);
+            }
+            Inst::Phi { incoming, .. } => incoming.iter().for_each(|&(_, v)| f(v)),
+            Inst::Call { args, .. } => args.iter().for_each(|&v| f(v)),
         }
     }
 
@@ -346,12 +367,23 @@ pub enum Terminator {
 impl Terminator {
     /// Successor blocks.
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut succs = Vec::new();
+        self.for_each_successor(|s| succs.push(s));
+        succs
+    }
+
+    /// Visits the successor blocks, in [`Terminator::successors`] order,
+    /// without allocating.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Terminator::Br { target, .. } => vec![*target],
+            Terminator::Br { target, .. } => f(*target),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) | Terminator::Unreachable => Vec::new(),
+            } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            Terminator::Ret(_) | Terminator::Unreachable => {}
         }
     }
 

@@ -27,7 +27,7 @@ pub use function::{BlockData, BlockId, Function, InstId};
 pub use inst::{BinOpKind, Callee, CastOp, CmpPred, Inst, Terminator};
 pub use metadata::{LoopMetadata, UnrollHint};
 pub use module::{ExternFn, GlobalVar, Module};
-pub use printer::{print_function, print_module};
+pub use printer::{print_function, print_module, printed_len, write_module};
 pub use types::IrType;
 pub use value::{SymbolId, Value};
 pub use verifier::{assert_verified, verify_function, verify_module, VerifyError};

@@ -68,35 +68,49 @@ impl LoopMetadata {
 
     /// Textual rendering for the IR printer, LLVM-flavored.
     pub fn print(&self) -> String {
-        let mut parts = Vec::new();
+        let mut out = String::new();
+        self.write_to(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Streams [`LoopMetadata::print`]'s text into `w`.
+    pub fn write_to<W: std::fmt::Write>(&self, w: &mut W) -> std::fmt::Result {
+        w.write_str("!{")?;
+        let mut sep = "";
+        let mut part = |w: &mut W, args: std::fmt::Arguments| -> std::fmt::Result {
+            w.write_str(sep)?;
+            sep = ", ";
+            w.write_fmt(args)
+        };
         match self.unroll {
-            Some(UnrollHint::Full) => parts.push("!\"llvm.loop.unroll.full\"".to_string()),
+            Some(UnrollHint::Full) => part(w, format_args!("!\"llvm.loop.unroll.full\""))?,
             Some(UnrollHint::Count(n)) => {
-                parts.push(format!("!\"llvm.loop.unroll.count\", i32 {n}"))
+                part(w, format_args!("!\"llvm.loop.unroll.count\", i32 {n}"))?
             }
-            Some(UnrollHint::Enable) => parts.push("!\"llvm.loop.unroll.enable\"".to_string()),
-            Some(UnrollHint::Disable) => parts.push("!\"llvm.loop.unroll.disable\"".to_string()),
+            Some(UnrollHint::Enable) => part(w, format_args!("!\"llvm.loop.unroll.enable\""))?,
+            Some(UnrollHint::Disable) => part(w, format_args!("!\"llvm.loop.unroll.disable\""))?,
             None => {}
         }
         if self.vectorize_enable {
-            parts.push("!\"llvm.loop.vectorize.enable\", i1 true".to_string());
+            part(w, format_args!("!\"llvm.loop.vectorize.enable\", i1 true"))?;
         }
         if self.safelen != 0 {
-            parts.push(format!(
-                "!\"llvm.loop.vectorize.safelen\", i32 {}",
-                self.safelen
-            ));
+            part(
+                w,
+                format_args!("!\"llvm.loop.vectorize.safelen\", i32 {}", self.safelen),
+            )?;
         }
         if self.simdlen != 0 {
-            parts.push(format!(
-                "!\"llvm.loop.vectorize.width\", i32 {}",
-                self.simdlen
-            ));
+            part(
+                w,
+                format_args!("!\"llvm.loop.vectorize.width\", i32 {}", self.simdlen),
+            )?;
         }
         if self.is_canonical {
-            parts.push("!\"omplt.loop.canonical\"".to_string());
+            part(w, format_args!("!\"omplt.loop.canonical\""))?;
         }
-        format!("!{{{}}}", parts.join(", "))
+        w.write_char('}')
     }
 }
 

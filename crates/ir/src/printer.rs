@@ -1,195 +1,252 @@
 //! Textual IR printer (`.ll`-flavored), used by `ompltc --emit-ir`, golden
-//! tests and debugging.
+//! tests, debugging, and cache-entry sizing.
+//!
+//! Everything streams through one [`write_module`] path into any
+//! [`fmt::Write`] sink: [`print_module`] collects it into a `String`, and
+//! [`printed_len`] only counts the bytes.
 
 use crate::function::{BlockId, Function, InstId};
 use crate::inst::{Inst, Terminator};
 use crate::module::Module;
+use crate::types::IrType;
 use crate::value::Value;
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// Prints a whole module.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();
-    for g in &m.globals {
-        let _ = writeln!(
-            out,
-            "@{} = global [{} x i8] zeroinitializer",
-            m.symbol_name(g.sym),
-            g.size
-        );
-    }
-    if !m.globals.is_empty() {
-        out.push('\n');
-    }
-    for e in &m.externs {
-        let ps: Vec<String> = e.params.iter().map(|t| t.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "declare {} @{}({})",
-            e.ret,
-            m.symbol_name(e.sym),
-            ps.join(", ")
-        );
-    }
-    if !m.externs.is_empty() {
-        out.push('\n');
-    }
-    for f in &m.functions {
-        out.push_str(&print_function(f, m));
-        out.push('\n');
-    }
+    write_module(&mut out, m).expect("writing to a String cannot fail");
     out
 }
 
 /// Prints one function.
 pub fn print_function(f: &Function, m: &Module) -> String {
     let mut out = String::new();
-    let ps: Vec<String> = f
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("{t} %arg{i}"))
-        .collect();
-    let _ = writeln!(out, "define {} @{}({}) {{", f.ret, f.name, ps.join(", "));
-    let preds = f.predecessors();
-    for (i, b) in f.blocks.iter().enumerate() {
-        let id = BlockId(i as u32);
-        // Every label carries a predecessor comment (LLVM `-print-after-all`
-        // style), normalized so dumps diff cleanly: the entry block is bare,
-        // any other predecessor-less block says so explicitly.
-        let _ = write!(out, "{}:", block_label(f, id));
-        if i != 0 {
-            if preds[i].is_empty() {
-                out.push_str("    ; no predecessors");
-            } else {
-                let ps: Vec<String> = preds[i]
-                    .iter()
-                    .map(|p| format!("%{}", block_label(f, *p)))
-                    .collect();
-                let _ = write!(out, "    ; preds = {}", ps.join(", "));
-            }
-        }
-        out.push('\n');
-        for &inst in &b.insts {
-            let _ = writeln!(out, "  {}", print_inst(f, m, inst));
-        }
-        match &b.term {
-            Some(t) => {
-                let _ = writeln!(out, "  {}", print_term(f, t));
-            }
-            None => {
-                let _ = writeln!(out, "  ; <no terminator>");
-            }
-        }
-    }
-    out.push_str("}\n");
+    write_function(&mut out, f, m).expect("writing to a String cannot fail");
     out
 }
 
-fn block_label(f: &Function, id: BlockId) -> String {
-    format!("{}.{}", f.block(id).name, id.0)
+/// The length in bytes of [`print_module`]'s text, without building it.
+pub fn printed_len(m: &Module) -> usize {
+    /// A sink that only counts.
+    struct Len(usize);
+    impl Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    write_module(&mut len, m).expect("counting cannot fail");
+    len.0
 }
 
-fn val(_f: &Function, v: Value) -> String {
+/// Writes a whole module.
+pub fn write_module<W: Write>(w: &mut W, m: &Module) -> fmt::Result {
+    for g in &m.globals {
+        writeln!(
+            w,
+            "@{} = global [{} x i8] zeroinitializer",
+            m.symbol_name(g.sym),
+            g.size
+        )?;
+    }
+    if !m.globals.is_empty() {
+        w.write_char('\n')?;
+    }
+    for e in &m.externs {
+        write!(w, "declare {} @{}(", e.ret.name(), m.symbol_name(e.sym))?;
+        for (i, t) in e.params.iter().enumerate() {
+            if i > 0 {
+                w.write_str(", ")?;
+            }
+            w.write_str(t.name())?;
+        }
+        w.write_str(")\n")?;
+    }
+    if !m.externs.is_empty() {
+        w.write_char('\n')?;
+    }
+    for f in &m.functions {
+        write_function(w, f, m)?;
+        w.write_char('\n')?;
+    }
+    Ok(())
+}
+
+fn write_function<W: Write>(w: &mut W, f: &Function, m: &Module) -> fmt::Result {
+    write!(w, "define {} @{}(", f.ret.name(), f.name)?;
+    for (i, t) in f.params.iter().enumerate() {
+        if i > 0 {
+            w.write_str(", ")?;
+        }
+        write!(w, "{} %arg{i}", t.name())?;
+    }
+    w.write_str(") {\n")?;
+    let preds = f.predecessors();
+    for (i, b) in f.blocks.iter().enumerate() {
+        // Every label carries a predecessor comment (LLVM `-print-after-all`
+        // style), normalized so dumps diff cleanly: the entry block is bare,
+        // any other predecessor-less block says so explicitly.
+        block_label(w, f, BlockId(i as u32))?;
+        w.write_char(':')?;
+        if i != 0 {
+            if preds[i].is_empty() {
+                w.write_str("    ; no predecessors")?;
+            } else {
+                w.write_str("    ; preds = ")?;
+                for (j, &p) in preds[i].iter().enumerate() {
+                    w.write_str(if j == 0 { "%" } else { ", %" })?;
+                    block_label(w, f, p)?;
+                }
+            }
+        }
+        w.write_char('\n')?;
+        for &inst in &b.insts {
+            w.write_str("  ")?;
+            write_inst(w, f, m, inst)?;
+            w.write_char('\n')?;
+        }
+        match &b.term {
+            Some(t) => {
+                w.write_str("  ")?;
+                write_term(w, f, t)?;
+                w.write_char('\n')?;
+            }
+            None => w.write_str("  ; <no terminator>\n")?,
+        }
+    }
+    w.write_str("}\n")
+}
+
+fn block_label<W: Write>(w: &mut W, f: &Function, id: BlockId) -> fmt::Result {
+    write!(w, "{}.{}", f.block(id).name, id.0)
+}
+
+fn val<W: Write>(w: &mut W, v: Value) -> fmt::Result {
     match v {
-        Value::Inst(id) => format!("%{}", id.0),
-        Value::Arg(i) => format!("%arg{i}"),
-        Value::ConstInt { val, .. } => val.to_string(),
-        Value::ConstFloat { bits, .. } => format!("{:e}", f64::from_bits(bits)),
-        Value::Global(s) => format!("@g{}", s.0),
-        Value::FuncRef(s) => format!("@f{}", s.0),
-        Value::Undef(_) => "undef".to_string(),
+        Value::Inst(id) => write!(w, "%{}", id.0),
+        Value::Arg(i) => write!(w, "%arg{i}"),
+        Value::ConstInt { val, .. } => write!(w, "{val}"),
+        Value::ConstFloat { bits, .. } => write!(w, "{:e}", f64::from_bits(bits)),
+        Value::Global(s) => write!(w, "@g{}", s.0),
+        Value::FuncRef(s) => write!(w, "@f{}", s.0),
+        Value::Undef(_) => w.write_str("undef"),
     }
 }
 
-fn tval(f: &Function, v: Value) -> String {
-    format!("{} {}", f.value_type(v), val(f, v))
+/// `<type> <value>`.
+fn tval<W: Write>(w: &mut W, f: &Function, v: Value) -> fmt::Result {
+    w.write_str(f.value_type(v).name())?;
+    w.write_char(' ')?;
+    val(w, v)
 }
 
-fn print_inst(f: &Function, m: &Module, id: InstId) -> String {
+fn write_inst<W: Write>(w: &mut W, f: &Function, m: &Module, id: InstId) -> fmt::Result {
     let i = f.inst(id);
-    let lhs = format!("%{}", id.0);
+    if !matches!(
+        i,
+        Inst::Store { .. }
+            | Inst::Call {
+                ty: IrType::Void,
+                ..
+            }
+    ) {
+        write!(w, "%{} = ", id.0)?;
+    }
     match i {
         Inst::Alloca { ty, count, name } => {
-            let n = if name.is_empty() {
-                String::new()
-            } else {
-                format!("  ; {name}")
-            };
-            format!("{lhs} = alloca {ty}, i64 {count}{n}")
+            write!(w, "alloca {}, i64 {count}", ty.name())?;
+            if !name.is_empty() {
+                write!(w, "  ; {name}")?;
+            }
+            Ok(())
         }
-        Inst::Load { ty, ptr } => format!("{lhs} = load {ty}, ptr {}", val(f, *ptr)),
-        Inst::Store { val: v, ptr } => format!("store {}, ptr {}", tval(f, *v), val(f, *ptr)),
+        Inst::Load { ty, ptr } => {
+            write!(w, "load {}, ptr ", ty.name())?;
+            val(w, *ptr)
+        }
+        Inst::Store { val: v, ptr } => {
+            w.write_str("store ")?;
+            tval(w, f, *v)?;
+            w.write_str(", ptr ")?;
+            val(w, *ptr)
+        }
         Inst::Gep {
             ptr,
             index,
             elem_size,
-        } => format!(
-            "{lhs} = getelementptr i8, ptr {}, {} x {elem_size}",
-            val(f, *ptr),
-            tval(f, *index)
-        ),
-        Inst::Bin { op, lhs: l, rhs } => {
-            format!(
-                "{lhs} = {} {}, {}",
-                op.mnemonic(),
-                tval(f, *l),
-                val(f, *rhs)
-            )
+        } => {
+            w.write_str("getelementptr i8, ptr ")?;
+            val(w, *ptr)?;
+            w.write_str(", ")?;
+            tval(w, f, *index)?;
+            write!(w, " x {elem_size}")
         }
-        Inst::Cmp { pred, lhs: l, rhs } => {
-            let kind = if pred.is_float() { "fcmp" } else { "icmp" };
-            format!(
-                "{lhs} = {kind} {} {}, {}",
-                pred.mnemonic(),
-                tval(f, *l),
-                val(f, *rhs)
-            )
+        Inst::Bin { op, lhs, rhs } => {
+            w.write_str(op.mnemonic())?;
+            w.write_char(' ')?;
+            tval(w, f, *lhs)?;
+            w.write_str(", ")?;
+            val(w, *rhs)
+        }
+        Inst::Cmp { pred, lhs, rhs } => {
+            w.write_str(if pred.is_float() { "fcmp " } else { "icmp " })?;
+            w.write_str(pred.mnemonic())?;
+            w.write_char(' ')?;
+            tval(w, f, *lhs)?;
+            w.write_str(", ")?;
+            val(w, *rhs)
         }
         Inst::Cast { op, val: v, to } => {
-            format!("{lhs} = {} {} to {to}", op.mnemonic(), tval(f, *v))
+            w.write_str(op.mnemonic())?;
+            w.write_char(' ')?;
+            tval(w, f, *v)?;
+            write!(w, " to {}", to.name())
         }
-        Inst::Select { cond, t, f: fv } => format!(
-            "{lhs} = select {}, {}, {}",
-            tval(f, *cond),
-            tval(f, *t),
-            tval(f, *fv)
-        ),
+        Inst::Select { cond, t, f: fv } => {
+            w.write_str("select ")?;
+            tval(w, f, *cond)?;
+            w.write_str(", ")?;
+            tval(w, f, *t)?;
+            w.write_str(", ")?;
+            tval(w, f, *fv)
+        }
         Inst::Phi { ty, incoming } => {
-            let edges: Vec<String> = incoming
-                .iter()
-                .map(|(b, v)| format!("[ {}, %{} ]", val(f, *v), block_label(f, *b)))
-                .collect();
-            format!("{lhs} = phi {ty} {}", edges.join(", "))
+            write!(w, "phi {} ", ty.name())?;
+            for (j, (b, v)) in incoming.iter().enumerate() {
+                w.write_str(if j == 0 { "[ " } else { ", [ " })?;
+                val(w, *v)?;
+                w.write_str(", %")?;
+                block_label(w, f, *b)?;
+                w.write_str(" ]")?;
+            }
+            Ok(())
         }
         Inst::Call { callee, args, ty } => {
-            let a: Vec<String> = args
-                .iter()
-                .map(|v| match v {
+            write!(w, "call {} @{}(", ty.name(), m.symbol_name(callee.0))?;
+            for (j, v) in args.iter().enumerate() {
+                if j > 0 {
+                    w.write_str(", ")?;
+                }
+                match v {
                     Value::FuncRef(s) | Value::Global(s) => {
-                        format!("ptr @{}", m.symbol_name(*s))
+                        write!(w, "ptr @{}", m.symbol_name(*s))?
                     }
-                    other => tval(f, *other),
-                })
-                .collect();
-            let name = m.symbol_name(callee.0);
-            if *ty == crate::types::IrType::Void {
-                format!("call void @{name}({})", a.join(", "))
-            } else {
-                format!("{lhs} = call {ty} @{name}({})", a.join(", "))
+                    other => tval(w, f, *other)?,
+                }
             }
+            w.write_char(')')
         }
     }
 }
 
-fn print_term(f: &Function, t: &Terminator) -> String {
-    match t {
+fn write_term<W: Write>(w: &mut W, f: &Function, t: &Terminator) -> fmt::Result {
+    let md = match t {
         Terminator::Br { target, loop_md } => {
-            let md = loop_md
-                .filter(|m| m.is_interesting())
-                .map(|m| format!(", !llvm.loop {}", m.print()))
-                .unwrap_or_default();
-            format!("br label %{}{md}", block_label(f, *target))
+            w.write_str("br label %")?;
+            block_label(w, f, *target)?;
+            loop_md
         }
         Terminator::CondBr {
             cond,
@@ -197,20 +254,27 @@ fn print_term(f: &Function, t: &Terminator) -> String {
             else_bb,
             loop_md,
         } => {
-            let md = loop_md
-                .filter(|m| m.is_interesting())
-                .map(|m| format!(", !llvm.loop {}", m.print()))
-                .unwrap_or_default();
-            format!(
-                "br {}, label %{}, label %{}{md}",
-                tval(f, *cond),
-                block_label(f, *then_bb),
-                block_label(f, *else_bb)
-            )
+            w.write_str("br ")?;
+            tval(w, f, *cond)?;
+            w.write_str(", label %")?;
+            block_label(w, f, *then_bb)?;
+            w.write_str(", label %")?;
+            block_label(w, f, *else_bb)?;
+            loop_md
         }
-        Terminator::Ret(Some(v)) => format!("ret {}", tval(f, *v)),
-        Terminator::Ret(None) => "ret void".to_string(),
-        Terminator::Unreachable => "unreachable".to_string(),
+        Terminator::Ret(Some(v)) => {
+            w.write_str("ret ")?;
+            return tval(w, f, *v);
+        }
+        Terminator::Ret(None) => return w.write_str("ret void"),
+        Terminator::Unreachable => return w.write_str("unreachable"),
+    };
+    match md {
+        Some(md) if md.is_interesting() => {
+            w.write_str(", !llvm.loop ")?;
+            md.write_to(w)
+        }
+        _ => Ok(()),
     }
 }
 

@@ -97,7 +97,14 @@ impl IrType {
 
 impl fmt::Display for IrType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+        f.write_str(self.name())
+    }
+}
+
+impl IrType {
+    /// The type's textual IR spelling (`i64`, `double`, `ptr`, …).
+    pub fn name(self) -> &'static str {
+        match self {
             IrType::Void => "void",
             IrType::I1 => "i1",
             IrType::I8 => "i8",
@@ -107,8 +114,7 @@ impl fmt::Display for IrType {
             IrType::F32 => "float",
             IrType::F64 => "double",
             IrType::Ptr => "ptr",
-        };
-        f.write_str(s)
+        }
     }
 }
 

@@ -87,22 +87,30 @@ fn remove_unreachable(f: &mut Function) -> bool {
 /// Merges `a → b` when `a` ends in an unconditional branch to `b`, `b` has
 /// exactly one predecessor and no phis, and `a`'s branch carries no loop
 /// metadata (latches must stay intact for the unroll pass).
+///
+/// One pass in block order, with incoming-edge counts kept current: a merge
+/// into `a` can make only `a` itself mergeable again (it inherits `b`'s
+/// terminator), never an earlier block, so this performs the same merges in
+/// the same order as rescanning from the entry after every merge.
 fn merge_chains(f: &mut Function) -> bool {
+    let mut npreds = vec![0u32; f.blocks.len()];
+    for b in &f.blocks {
+        if let Some(t) = &b.term {
+            for s in t.successors() {
+                npreds[s.0 as usize] += 1;
+            }
+        }
+    }
     let mut changed = false;
-    loop {
-        let preds = f.predecessors();
-        let mut merged = false;
-        for ai in 0..f.blocks.len() {
-            let a = BlockId(ai as u32);
-            let Some(Terminator::Br {
-                target: b,
-                loop_md: None,
-            }) = f.blocks[ai].term.clone()
-            else {
-                continue;
-            };
-            if b == a || preds[b.0 as usize].len() != 1 {
-                continue;
+    for ai in 0..f.blocks.len() {
+        let a = BlockId(ai as u32);
+        while let Some(Terminator::Br {
+            target: b,
+            loop_md: None,
+        }) = f.blocks[ai].term
+        {
+            if b == a || npreds[b.0 as usize] != 1 {
+                break;
             }
             let b_has_phi = f
                 .block(b)
@@ -110,14 +118,16 @@ fn merge_chains(f: &mut Function) -> bool {
                 .first()
                 .is_some_and(|&i| matches!(f.inst(i), Inst::Phi { .. }));
             if b_has_phi {
-                continue;
+                break;
             }
-            // Splice b into a.
+            // Splice b into a. The edge a → b disappears; b's outgoing edges
+            // move to a, so no other count changes.
             let b_insts = std::mem::take(&mut f.blocks[b.0 as usize].insts);
             let b_term = f.blocks[b.0 as usize].term.take();
             f.blocks[b.0 as usize].term = Some(Terminator::Unreachable);
             f.blocks[ai].insts.extend(b_insts);
             f.blocks[ai].term = b_term;
+            npreds[b.0 as usize] -= 1;
             // Phis in b's former successors must re-point their edges to a.
             let succs: Vec<BlockId> = f.blocks[ai]
                 .term
@@ -135,14 +145,10 @@ fn merge_chains(f: &mut Function) -> bool {
                     }
                 }
             }
-            merged = true;
             changed = true;
-            break; // predecessor lists are stale; recompute
-        }
-        if !merged {
-            return changed;
         }
     }
+    changed
 }
 
 #[cfg(test)]

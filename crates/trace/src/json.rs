@@ -74,6 +74,7 @@ impl Value {
 /// garbage is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -87,6 +88,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -223,13 +225,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -304,6 +307,30 @@ mod tests {
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn long_strings_decode_in_one_pass() {
+        // Over 1 MiB of text where escapes sit right against multibyte
+        // characters, so every unescaped run starts or ends at a boundary
+        // between the two.
+        let pieces: [(&str, &str); 6] = [
+            ("é", "é"),
+            ("\\n", "\n"),
+            ("日本", "日本"),
+            ("\\\"", "\""),
+            ("🎉x", "🎉x"),
+            ("\\u00e9\\\\", "é\\"),
+        ];
+        let (mut json, mut expect) = (String::from("\""), String::new());
+        while json.len() < (1 << 20) + 16 {
+            for (raw, decoded) in pieces {
+                json.push_str(raw);
+                expect.push_str(decoded);
+            }
+        }
+        json.push('"');
+        assert_eq!(parse(&json).unwrap().as_str(), Some(expect.as_str()));
     }
 
     #[test]

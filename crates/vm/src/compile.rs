@@ -16,6 +16,10 @@
 //! * A peephole pass ([`crate::peephole`]) then propagates copies, deletes
 //!   dead ops, and fuses compare/branch pairs, and a linear-scan pass
 //!   ([`crate::regalloc`]) compacts the register file.
+//!
+//! Under a trace session each function's three phases show up as
+//! `vm.compile.lower`, `vm.compile.peephole` and `vm.compile.regalloc` spans
+//! nested in `vm.compile`.
 
 use crate::ops::{CallTarget, Op, PoolConst, Reg, RegClass, VmFunction, VmModule};
 use crate::peephole;
@@ -23,7 +27,7 @@ use crate::regalloc;
 use crate::vectorize;
 use omplt_interp::RtVal;
 use omplt_ir::{BlockId, Function, Inst, InstId, IrType, Module, Terminator, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Why a function could not be lowered.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,23 +158,26 @@ pub(crate) fn const_of(v: Value) -> Option<(ConstKey, PoolConst)> {
 /// or smaller, and used *only* as the direct address of same-typed loads and
 /// stores (never as a stored value, call argument, GEP base, or any other
 /// operand — those escape the slot and force it to stay in guest memory).
-fn promotable_allocas(f: &Function, rpo: &[BlockId]) -> HashSet<InstId> {
-    let mut candidates: HashMap<InstId, IrType> = HashMap::new();
+/// The result is indexed by [`InstId`].
+fn promotable_allocas(f: &Function, rpo: &[BlockId]) -> Vec<bool> {
+    let mut candidates: Vec<Option<IrType>> = vec![None; f.insts.len()];
+    let mut any = false;
     for &bb in rpo {
         for &iid in &f.block(bb).insts {
             if let Inst::Alloca { ty, count: 1, .. } = f.inst(iid) {
                 if *ty != IrType::Void && (1..=8).contains(&ty.size()) {
-                    candidates.insert(iid, *ty);
+                    candidates[iid.0 as usize] = Some(*ty);
+                    any = true;
                 }
             }
         }
     }
-    if candidates.is_empty() {
-        return HashSet::new();
+    if !any {
+        return vec![false; f.insts.len()];
     }
-    let disqualify = |candidates: &mut HashMap<InstId, IrType>, v: Value| {
+    let disqualify = |candidates: &mut [Option<IrType>], v: Value| {
         if let Value::Inst(id) = v {
-            candidates.remove(&id);
+            candidates[id.0 as usize] = None;
         }
     };
     for &bb in rpo {
@@ -178,27 +185,20 @@ fn promotable_allocas(f: &Function, rpo: &[BlockId]) -> HashSet<InstId> {
             match f.inst(iid) {
                 Inst::Load { ty, ptr } => {
                     if let Value::Inst(a) = ptr {
-                        if candidates.get(a).is_some_and(|aty| aty != ty) {
-                            candidates.remove(a);
+                        if candidates[a.0 as usize].is_some_and(|aty| aty != *ty) {
+                            candidates[a.0 as usize] = None;
                         }
                     }
                 }
                 Inst::Store { val, ptr } => {
                     disqualify(&mut candidates, *val);
                     if let Value::Inst(a) = ptr {
-                        if candidates
-                            .get(a)
-                            .is_some_and(|aty| *aty != f.value_type(*val))
-                        {
-                            candidates.remove(a);
+                        if candidates[a.0 as usize].is_some_and(|aty| aty != f.value_type(*val)) {
+                            candidates[a.0 as usize] = None;
                         }
                     }
                 }
-                other => {
-                    for v in other.operands() {
-                        disqualify(&mut candidates, v);
-                    }
-                }
+                other => other.for_each_operand(|v| disqualify(&mut candidates, v)),
             }
         }
         if let Some(t) = &f.block(bb).term {
@@ -209,7 +209,7 @@ fn promotable_allocas(f: &Function, rpo: &[BlockId]) -> HashSet<InstId> {
             }
         }
     }
-    candidates.into_keys().collect()
+    candidates.iter().map(Option::is_some).collect()
 }
 
 /// Jump-target placeholder, patched once every block offset is known.
@@ -225,9 +225,14 @@ pub(crate) struct FuncCompiler<'a> {
     m: &'a Module,
     pub(crate) f: &'a Function,
     fn_index: &'a HashMap<&'a str, u32>,
-    pub(crate) promoted: HashMap<InstId, Reg>,
+    /// Which `alloca`s live in a register, indexed by [`InstId`].
+    pub(crate) promotable: Vec<bool>,
+    /// The slot register of each promoted `alloca`, indexed by [`InstId`].
+    pub(crate) promoted: Vec<Option<Reg>>,
     pub(crate) vreg_class: Vec<RegClass>,
-    pub(crate) inst_reg: HashMap<InstId, Reg>,
+    /// The register of each value-producing instruction, indexed by
+    /// [`InstId`].
+    pub(crate) inst_reg: Vec<Option<Reg>>,
     pub(crate) const_reg: HashMap<ConstKey, Reg>,
     pub(crate) pool: Vec<PoolConst>,
     pool_idx: HashMap<ConstKey, u16>,
@@ -324,15 +329,15 @@ impl<'a> FuncCompiler<'a> {
     /// prologue-loaded constant).
     pub(crate) fn reg_of(&mut self, v: Value) -> Result<Reg, CompileError> {
         match v {
-            Value::Inst(id) => {
-                self.inst_reg
-                    .get(&id)
-                    .copied()
-                    .ok_or_else(|| CompileError::Malformed {
-                        func: self.f.name.clone(),
-                        what: format!("use of void or promoted value %{}", id.0),
-                    })
-            }
+            Value::Inst(id) => self
+                .inst_reg
+                .get(id.0 as usize)
+                .copied()
+                .flatten()
+                .ok_or_else(|| CompileError::Malformed {
+                    func: self.f.name.clone(),
+                    what: format!("use of void or promoted value %{}", id.0),
+                }),
             Value::Arg(i) => {
                 if (i as usize) < self.f.params.len() {
                     Ok(i as Reg)
@@ -348,6 +353,11 @@ impl<'a> FuncCompiler<'a> {
                 self.const_vreg(key, entry)
             }
         }
+    }
+
+    /// The register of an instruction that produces a value.
+    pub(crate) fn inst_reg(&self, iid: InstId) -> Reg {
+        self.inst_reg[iid.0 as usize].expect("value-producing instruction has a register")
     }
 
     pub(crate) fn mark_block_start(&mut self) {
@@ -373,7 +383,7 @@ impl<'a> FuncCompiler<'a> {
                 });
             };
             let val = *val;
-            let dst = self.inst_reg[&iid];
+            let dst = self.inst_reg(iid);
             let src = self.reg_of(val)?;
             pairs.push((dst, src));
         }
@@ -410,7 +420,7 @@ impl<'a> FuncCompiler<'a> {
         match inst {
             Inst::Phi { .. } => {} // eliminated into edge copies
             Inst::Alloca { ty, count, .. } => {
-                if let Some(&slot) = self.promoted.get(&iid) {
+                if let Some(slot) = self.promoted[iid.0 as usize] {
                     // A fresh alloca is zero-initialized; re-executing the
                     // op (alloca inside a loop) must reset the slot too.
                     let (key, entry) = const_of(Value::Undef(*ty)).expect("undef is a constant");
@@ -419,14 +429,14 @@ impl<'a> FuncCompiler<'a> {
                 } else {
                     let bytes = ty.size().max(1) * (*count).max(1);
                     let bytes = u32::try_from(bytes).map_err(|_| self.err_large("alloca size"))?;
-                    let dst = self.inst_reg[&iid];
+                    let dst = self.inst_reg(iid);
                     self.ops.push(Op::Alloca { dst, bytes });
                 }
             }
             Inst::Load { ty, ptr } => {
-                let dst = self.inst_reg[&iid];
+                let dst = self.inst_reg(iid);
                 if let Value::Inst(a) = ptr {
-                    if let Some(&slot) = self.promoted.get(a) {
+                    if let Some(slot) = self.promoted[a.0 as usize] {
                         self.ops.push(Op::Mov { dst, src: slot });
                         return Ok(());
                     }
@@ -437,7 +447,7 @@ impl<'a> FuncCompiler<'a> {
             Inst::Store { val, ptr } => {
                 let src = self.reg_of(*val)?;
                 if let Value::Inst(a) = ptr {
-                    if let Some(&slot) = self.promoted.get(a) {
+                    if let Some(slot) = self.promoted[a.0 as usize] {
                         self.ops.push(Op::Mov { dst: slot, src });
                         return Ok(());
                     }
@@ -453,7 +463,7 @@ impl<'a> FuncCompiler<'a> {
             } => {
                 let elem_size =
                     u32::try_from(*elem_size).map_err(|_| self.err_large("gep element size"))?;
-                let dst = self.inst_reg[&iid];
+                let dst = self.inst_reg(iid);
                 let base = self.reg_of(*ptr)?;
                 let index = self.reg_of(*index)?;
                 self.ops.push(Op::Gep {
@@ -465,7 +475,7 @@ impl<'a> FuncCompiler<'a> {
             }
             Inst::Bin { op, lhs, rhs } => {
                 let ty = self.f.value_type(*lhs);
-                let dst = self.inst_reg[&iid];
+                let dst = self.inst_reg(iid);
                 let lhs = self.reg_of(*lhs)?;
                 let rhs = self.reg_of(*rhs)?;
                 self.ops.push(Op::Bin {
@@ -478,7 +488,7 @@ impl<'a> FuncCompiler<'a> {
             }
             Inst::Cmp { pred, lhs, rhs } => {
                 let ty = self.f.value_type(*lhs);
-                let dst = self.inst_reg[&iid];
+                let dst = self.inst_reg(iid);
                 let lhs = self.reg_of(*lhs)?;
                 let rhs = self.reg_of(*rhs)?;
                 self.ops.push(Op::Cmp {
@@ -491,7 +501,7 @@ impl<'a> FuncCompiler<'a> {
             }
             Inst::Cast { op, val, to } => {
                 let from = self.f.value_type(*val);
-                let dst = self.inst_reg[&iid];
+                let dst = self.inst_reg(iid);
                 let src = self.reg_of(*val)?;
                 self.ops.push(Op::Cast {
                     op: *op,
@@ -502,7 +512,7 @@ impl<'a> FuncCompiler<'a> {
                 });
             }
             Inst::Select { cond, t, f: fv } => {
-                let dst = self.inst_reg[&iid];
+                let dst = self.inst_reg(iid);
                 let cond = self.reg_of(*cond)?;
                 let t = self.reg_of(*t)?;
                 let fv = self.reg_of(*fv)?;
@@ -544,7 +554,7 @@ impl<'a> FuncCompiler<'a> {
                 let dst = if *ty == IrType::Void {
                     None
                 } else {
-                    Some(self.inst_reg[&iid])
+                    Some(self.inst_reg(iid))
                 };
                 self.ops.push(Op::Call {
                     target,
@@ -644,9 +654,10 @@ impl<'a> FuncCompiler<'a> {
     }
 }
 
-/// Lowers one function; returns the compiled body plus the numbers of
+/// Compiles one function; returns the compiled body plus the numbers of
 /// promoted `alloca` slots and peephole-removed ops (for the
-/// `vm.compile.promoted` / `vm.compile.peephole.removed` counters).
+/// `vm.compile.promoted` / `vm.compile.peephole.removed` counters). Each
+/// phase gets its own span under `vm.compile`.
 fn compile_function(
     m: &Module,
     f: &Function,
@@ -654,10 +665,36 @@ fn compile_function(
     vector_width: u8,
     stats: &mut vectorize::PlanStats,
 ) -> Result<(VmFunction, usize, usize), CompileError> {
+    let (mut vf, promoted) = {
+        let _span = omplt_trace::span("vm.compile.lower");
+        lower_function(m, f, fn_index, vector_width, stats)?
+    };
+    if vf.ops.is_empty() {
+        return Ok((vf, promoted, 0));
+    }
+    let (removed, live) = {
+        let _span = omplt_trace::span("vm.compile.peephole");
+        peephole::optimize_with_liveness(&mut vf)
+    };
+    let _span = omplt_trace::span("vm.compile.regalloc");
+    regalloc::allocate_with(&mut vf, &live);
+    Ok((vf, promoted, removed))
+}
+
+/// Lowers one function to virtual-register bytecode (with `alloca`
+/// promotion and, at `vector_width >= 2`, loop widening); returns the body
+/// and the number of promoted slots.
+fn lower_function(
+    m: &Module,
+    f: &Function,
+    fn_index: &HashMap<&str, u32>,
+    vector_width: u8,
+    stats: &mut vectorize::PlanStats,
+) -> Result<(VmFunction, usize), CompileError> {
     let rpo = f.reverse_postorder();
-    let promoted_set = promotable_allocas(f, &rpo);
+    let promotable = promotable_allocas(f, &rpo);
     let plans = if vector_width >= 2 {
-        vectorize::plan_loops(f, &promoted_set, vector_width, stats)
+        vectorize::plan_loops(f, &promotable, vector_width, stats)
     } else {
         HashMap::new()
     };
@@ -665,13 +702,14 @@ fn compile_function(
         m,
         f,
         fn_index,
-        promoted: HashMap::new(),
-        vreg_class: Vec::new(),
-        inst_reg: HashMap::new(),
+        promotable,
+        promoted: vec![None; f.insts.len()],
+        vreg_class: Vec::with_capacity(f.insts.len()),
+        inst_reg: vec![None; f.insts.len()],
         const_reg: HashMap::new(),
         pool: Vec::new(),
         pool_idx: HashMap::new(),
-        ops: Vec::new(),
+        ops: Vec::with_capacity(f.insts.len()),
         call_args: Vec::new(),
         call_targets: Vec::new(),
         target_idx: HashMap::new(),
@@ -691,20 +729,22 @@ fn compile_function(
 
     // Then one per SSA value (promoted allocas get their slot register; the
     // pointer they used to produce never materializes).
+    let mut promoted = 0;
     for &bb in &rpo {
         for &iid in &f.block(bb).insts {
             let inst = f.inst(iid);
             if let Inst::Alloca { ty, .. } = inst {
-                if promoted_set.contains(&iid) {
+                if c.promotable[iid.0 as usize] {
                     let slot = c.new_vreg(RegClass::of(*ty))?;
-                    c.promoted.insert(iid, slot);
+                    c.promoted[iid.0 as usize] = Some(slot);
+                    promoted += 1;
                     continue;
                 }
             }
             let ty = inst.result_type(|v| f.value_type(v));
             if ty != IrType::Void {
                 let r = c.new_vreg(RegClass::of(ty))?;
-                c.inst_reg.insert(iid, r);
+                c.inst_reg[iid.0 as usize] = Some(r);
             }
         }
     }
@@ -714,7 +754,7 @@ fn compile_function(
     // head of the entry block) and no offsets ever need shifting.
     for &bb in &rpo {
         for &iid in &f.block(bb).insts {
-            if c.promoted.contains_key(&iid) {
+            if c.promoted[iid.0 as usize].is_some() {
                 // Promoted alloca re-zeroing needs the zero of its class.
                 if let Inst::Alloca { ty, .. } = f.inst(iid) {
                     let (key, entry) = const_of(Value::Undef(*ty)).expect("undef is a constant");
@@ -722,11 +762,13 @@ fn compile_function(
                 }
                 continue;
             }
-            for v in f.inst(iid).operands() {
-                if let Some((key, entry)) = const_of(v) {
-                    c.const_vreg(key, entry)?;
+            let mut interned = Ok(());
+            f.inst(iid).for_each_operand(|v| {
+                if let (Ok(()), Some((key, entry))) = (&interned, const_of(v)) {
+                    interned = c.const_vreg(key, entry).map(drop);
                 }
-            }
+            });
+            interned?;
         }
         let term_val = match &f.block(bb).term {
             Some(Terminator::CondBr { cond, .. }) => Some(*cond),
@@ -783,7 +825,7 @@ fn compile_function(
         return Err(c.err_large("op stream"));
     }
 
-    let mut vf = VmFunction {
+    let vf = VmFunction {
         name: f.name.clone(),
         params,
         num_regs: c.vreg_class.len() as u16,
@@ -798,7 +840,5 @@ fn compile_function(
         block_starts: c.block_starts,
         ret: f.ret,
     };
-    let removed = peephole::optimize(&mut vf);
-    regalloc::allocate(&mut vf);
-    Ok((vf, c.promoted.len(), removed))
+    Ok((vf, promoted))
 }

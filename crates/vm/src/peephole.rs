@@ -31,7 +31,7 @@
 //! deleted, and therefore each block keeps at least one op.
 
 use crate::ops::{Op, Reg, VmFunction};
-use crate::regalloc::{block_ranges, liveness, successors};
+use crate::regalloc::{bit, block_ranges, BitSet, Cfg, GenKill, Liveness};
 use omplt_ir::{BinOpKind, IrType};
 
 /// Runs the full pipeline in place; returns the number of ops removed.
@@ -39,14 +39,33 @@ pub fn optimize(f: &mut VmFunction) -> usize {
     if f.ops.is_empty() {
         return 0;
     }
-    copy_propagate(f);
+    optimize_with_liveness(f).0
+}
+
+/// [`optimize`] on a non-empty function, also returning the block-level
+/// liveness of the result, so register allocation need not solve it again.
+pub(crate) fn optimize_with_liveness(f: &mut VmFunction) -> (usize, Liveness) {
+    // Stages 1-3 keep the block structure, so they share one layout, and
+    // the liveness DCE leaves behind serves coalescing and fusion as well:
+    // neither changes which registers are live at a block boundary.
+    let cfg = Cfg::new(f);
+    let gen_kill = copy_propagate(f, &cfg);
     let mut dead = vec![false; f.ops.len()];
-    while eliminate_dead(f, &mut dead) {}
-    coalesce_defs(f, &mut dead);
-    fuse_cmp_br(f, &mut dead);
-    elide_fallthrough_jumps(f, &mut dead);
+    let live = eliminate_dead(f, &cfg, gen_kill.solve(&cfg), &mut dead);
+    debug_assert!(dead == dead_by_rounds(f, &cfg));
+    coalesce_defs(f, &cfg, &live, &mut dead);
+    debug_assert!(live == Liveness::solve(f, &cfg, |pc| dead[pc]));
+    fuse_cmp_br(f, &cfg, &live, &mut dead);
+    let merged = elide_fallthrough_jumps(f, &mut dead);
     fuse_bin_jmp(f, &mut dead);
-    compact(f, &dead)
+    let removed = compact(f, &dead);
+    // Deleted ops were already absent from the solution, and fusing a
+    // `Bin` into the `Jmp` after it moves no read or write across a block
+    // boundary. A merged run of blocks enters as its first block and leaves
+    // as its last.
+    let live = live.merge_blocks(&merged);
+    debug_assert!(live == Liveness::solve(f, &Cfg::new(f), |_| false));
+    (removed, live)
 }
 
 /// True when deleting a dead instance of `op` cannot change observable
@@ -76,99 +95,311 @@ fn removable(op: Op) -> bool {
 /// Block-local copy propagation: after `dst = mov src`, later reads of `dst`
 /// become reads of `src` (chased to the root of a copy chain) until either
 /// side is redefined. The `Mov`s themselves are left for DCE to collect.
-fn copy_propagate(f: &mut VmFunction) {
+/// Returns the rewritten ops' gen/kill rows, collected on the same walk.
+fn copy_propagate(f: &mut VmFunction, cfg: &Cfg) -> GenKill {
     let n = f.num_regs as usize;
-    // Generation-stamped map: `copy_of[r]` is meaningful only when
-    // `gen_of[r] == cur_gen`, so resetting per block is O(1).
+    let mut gen_kill = GenKill::new(n, cfg.ranges.len());
+    // Positions are `pc + 1`, with 0 for "never". The copy `r = mov
+    // copy_of[r]` made at `copied_at[r]` still holds when it was made in
+    // this block and neither side has been redefined since. Positions only
+    // grow, so nothing needs clearing between blocks.
     let mut copy_of: Vec<Reg> = vec![0; n];
-    let mut gen_of: Vec<u32> = vec![0; n];
-    let mut cur_gen: u32 = 0;
-    // Keys recorded in the current block, for O(block) invalidation on defs.
-    let mut recorded: Vec<Reg> = Vec::new();
-
-    for (start, end) in block_ranges(f) {
-        cur_gen += 1;
-        recorded.clear();
+    let mut copied_at: Vec<usize> = vec![0; n];
+    let mut defined_at: Vec<usize> = vec![0; n];
+    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
         for pc in start..end {
             let op = &mut f.ops[pc];
             op.map_uses(&mut f.call_args, |r| {
-                if gen_of[r as usize] == cur_gen {
-                    copy_of[r as usize]
+                let (at, src) = (copied_at[r as usize], copy_of[r as usize]);
+                let holds =
+                    at > start && defined_at[r as usize] == at && defined_at[src as usize] < at;
+                if holds {
+                    src
                 } else {
                     r
                 }
             });
             if let Some(d) = op.def() {
-                // `d` is overwritten: forget copies *of* it and *into* it.
-                gen_of[d as usize] = 0;
-                for &k in &recorded {
-                    if gen_of[k as usize] == cur_gen && copy_of[k as usize] == d {
-                        gen_of[k as usize] = 0;
-                    }
-                }
+                defined_at[d as usize] = pc + 1;
             }
             if let Op::Mov { dst, src } = *op {
                 if dst != src {
                     // `src` was already rewritten to its root above.
                     copy_of[dst as usize] = src;
-                    gen_of[dst as usize] = cur_gen;
-                    recorded.push(dst);
+                    copied_at[dst as usize] = pc + 1;
+                }
+            }
+            gen_kill.visit(b, f.ops[pc], &f.call_args);
+        }
+    }
+    gen_kill
+}
+
+/// Deletes dead ops to fixpoint, starting from `live`, the liveness of the
+/// whole function, and returns the liveness of what is left.
+///
+/// The result is exactly what re-solving liveness and re-sweeping until
+/// nothing changes gives ([`dead_by_rounds`]): each deletion only ever
+/// shrinks liveness, so any order of justified deletions ends at the same
+/// set. One backward sweep over the first solution does most of the work;
+/// after that, only the registers a deleted op read can change liveness, so
+/// a worklist re-solves just those, one register at a time, and rechecks
+/// their definitions.
+fn eliminate_dead(f: &VmFunction, cfg: &Cfg, mut live: Liveness, dead: &mut [bool]) -> Liveness {
+    let n = f.num_regs as usize;
+    let mut dirty = Worklist::new(n);
+    sweep(f, cfg, &live, dead, |op, read_below| {
+        // A register a surviving op further down the block still reads
+        // (with no def in between) keeps its liveness everywhere.
+        op.for_each_use(&f.call_args, |r| {
+            if !read_below.contains(r as usize) {
+                dirty.push(r);
+            }
+        });
+    });
+    if dirty.is_empty() {
+        return live;
+    }
+    let sites = Sites::new(f, cfg, n);
+    let nb = cfg.ranges.len();
+    // Per-block facts about the register being re-solved, stamped with the
+    // re-solve's number so they need no clearing in between.
+    let mut exposed = vec![0u32; nb];
+    let mut defines = vec![0u32; nb];
+    let mut stamp = 0u32;
+    let mut stack: Vec<usize> = Vec::new();
+    while let Some(r) = dirty.pop() {
+        stamp += 1;
+        // Upward-exposed uses and defs of `r` among surviving ops, walking
+        // each block backward. An op reads its operands before writing, so
+        // a use in the defining op itself is still exposed.
+        for (pc, b) in sites.of(r) {
+            if dead[pc] {
+                continue;
+            }
+            let op = f.ops[pc];
+            if op.def() == Some(r) {
+                defines[b] = stamp;
+                exposed[b] = 0;
+            }
+            if reads(f, op, r) {
+                exposed[b] = stamp;
+            }
+        }
+        // Backward reachability from the exposed uses, stopped by defs.
+        for b in 0..nb {
+            live.set(b, r as usize, false, false);
+        }
+        for (_, b) in sites.of(r) {
+            if exposed[b] == stamp {
+                exposed[b] = 0;
+                live.set(b, r as usize, true, false);
+                stack.push(b);
+            }
+        }
+        while let Some(b) = stack.pop() {
+            for &p in cfg.preds(b) {
+                let p = p as usize;
+                let was_in = bit(live.live_in(p), r as usize);
+                let now_in = was_in || defines[p] != stamp;
+                live.set(p, r as usize, now_in, true);
+                if now_in && !was_in {
+                    stack.push(p);
                 }
             }
         }
+        // Recheck every surviving def of `r` against the new solution.
+        let mut block = usize::MAX;
+        let mut is_live = false;
+        for (pc, b) in sites.of(r) {
+            if dead[pc] {
+                continue;
+            }
+            if b != block {
+                block = b;
+                is_live = bit(live.live_out(b), r as usize);
+            }
+            let op = f.ops[pc];
+            if op.def() == Some(r) {
+                if !is_live && removable(op) {
+                    dead[pc] = true;
+                    op.for_each_use(&f.call_args, |u| dirty.push(u));
+                    continue;
+                }
+                is_live = false;
+            }
+            if reads(f, op, r) {
+                is_live = true;
+            }
+        }
     }
+    live
 }
 
-/// One backward DCE sweep over live ops; returns true if anything new died.
-fn eliminate_dead(f: &VmFunction, dead: &mut [bool]) -> bool {
+/// One backward sweep of every block from `live`'s live-out rows, marking
+/// each surviving op that [`dies`]; `died` sees each such op together with
+/// the registers surviving ops further down its block read (no def in
+/// between). Returns whether anything died.
+fn sweep(
+    f: &VmFunction,
+    cfg: &Cfg,
+    live: &Liveness,
+    dead: &mut [bool],
+    mut died: impl FnMut(Op, &BitSet),
+) -> bool {
     let n = f.num_regs as usize;
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (_, live_out) = liveness(f, n, &ranges, &succs, |pc| dead[pc]);
+    let (mut cur, mut read_below) = (BitSet::new(n), BitSet::new(n));
     let mut changed = false;
-    for (b, &(start, end)) in ranges.iter().enumerate() {
-        let mut live = live_out[b].clone();
+    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+        cur.copy_from(live.live_out(b));
+        read_below.clear();
         for pc in (start..end).rev() {
             if dead[pc] {
                 continue;
             }
             let op = f.ops[pc];
-            // A self-copy is a no-op whether or not its register is live.
-            let self_mov = matches!(op, Op::Mov { dst, src } if dst == src);
-            let dead_def =
-                matches!(op.def(), Some(d) if !live.contains(d as usize)) && removable(op);
-            if self_mov || dead_def {
+            if dies(op, &cur) {
                 dead[pc] = true;
                 changed = true;
+                died(op, &read_below);
                 continue;
             }
             if let Some(d) = op.def() {
-                live.remove(d as usize);
+                cur.remove(d as usize);
+                read_below.remove(d as usize);
             }
-            op.for_each_use(&f.call_args, |r| live.insert(r as usize));
+            op.for_each_use(&f.call_args, |r| {
+                cur.insert(r as usize);
+                read_below.insert(r as usize);
+            });
         }
     }
     changed
+}
+
+/// Whether DCE deletes `op` given the registers live right after it: a
+/// self-copy is a no-op whether or not its register is live, and a
+/// removable op whose result nobody reads is dead.
+fn dies(op: Op, live_after: &BitSet) -> bool {
+    let self_mov = matches!(op, Op::Mov { dst, src } if dst == src);
+    let dead_def = matches!(op.def(), Some(d) if !live_after.contains(d as usize)) && removable(op);
+    self_mov || dead_def
+}
+
+/// The dead mask of plain round-based DCE: solve liveness, sweep, and
+/// repeat until a sweep deletes nothing. Debug builds check
+/// [`eliminate_dead`] against it.
+fn dead_by_rounds(f: &VmFunction, cfg: &Cfg) -> Vec<bool> {
+    let mut dead = vec![false; f.ops.len()];
+    loop {
+        let live = Liveness::solve(f, cfg, |pc| dead[pc]);
+        if !sweep(f, cfg, &live, &mut dead, |_, _| {}) {
+            return dead;
+        }
+    }
+}
+
+/// Whether `op` reads register `r`.
+fn reads(f: &VmFunction, op: Op, r: Reg) -> bool {
+    let mut hit = false;
+    op.for_each_use(&f.call_args, |u| hit |= u == r);
+    hit
+}
+
+/// A set of registers with LIFO pop, each queued at most once at a time.
+struct Worklist {
+    queued: BitSet,
+    stack: Vec<Reg>,
+}
+
+impl Worklist {
+    fn new(n: usize) -> Worklist {
+        Worklist {
+            queued: BitSet::new(n),
+            stack: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, r: Reg) {
+        if !self.queued.contains(r as usize) {
+            self.queued.insert(r as usize);
+            self.stack.push(r);
+        }
+    }
+
+    fn pop(&mut self) -> Option<Reg> {
+        let r = self.stack.pop()?;
+        self.queued.remove(r as usize);
+        Some(r)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.stack.is_empty()
+    }
+}
+
+/// For every register, the ops that read or write it, as lists threaded
+/// through one array with the latest op first.
+struct Sites {
+    head: Vec<u32>,
+    /// `(pc, block, next)` per mention.
+    links: Vec<(u32, u32, u32)>,
+}
+
+impl Sites {
+    const END: u32 = u32::MAX;
+
+    fn new(f: &VmFunction, cfg: &Cfg, n: usize) -> Sites {
+        let mut head = vec![Sites::END; n];
+        let mut links: Vec<(u32, u32, u32)> = Vec::with_capacity(2 * f.ops.len());
+        for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+            for pc in start..end {
+                let mut see = |r: Reg| {
+                    let h = head[r as usize];
+                    // An op mentioning `r` twice is listed once.
+                    if h == Sites::END || links[h as usize].0 != pc as u32 {
+                        head[r as usize] = links.len() as u32;
+                        links.push((pc as u32, b as u32, h));
+                    }
+                };
+                let op = f.ops[pc];
+                op.for_each_use(&f.call_args, &mut see);
+                if let Some(d) = op.def() {
+                    see(d);
+                }
+            }
+        }
+        Sites { head, links }
+    }
+
+    /// `(pc, block)` of every op mentioning `r`, latest first.
+    fn of(&self, r: Reg) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut at = self.head[r as usize];
+        std::iter::from_fn(move || {
+            let &(pc, b, next) = self.links.get(at as usize)?;
+            at = next;
+            Some((pc as usize, b as usize))
+        })
+    }
 }
 
 /// Coalesces `d = <op> …; s = mov d` into `s = <op> …` when `d` dies at the
 /// `Mov` — the "write the result back into the promoted slot" pattern every
 /// loop-carried variable produces. Safe because every op reads its operands
 /// before writing its destination, so `<op>` may freely read `s`'s old value.
-fn coalesce_defs(f: &mut VmFunction, dead: &mut [bool]) {
-    let n = f.num_regs as usize;
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (_, live_out) = liveness(f, n, &ranges, &succs, |pc| dead[pc]);
-    for (b, &(start, end)) in ranges.iter().enumerate() {
-        let mut live = live_out[b].clone();
-        let pcs: Vec<usize> = (start..end).rev().filter(|&pc| !dead[pc]).collect();
+fn coalesce_defs(f: &mut VmFunction, cfg: &Cfg, live: &Liveness, dead: &mut [bool]) {
+    let mut cur = BitSet::new(f.num_regs as usize);
+    let mut pcs: Vec<usize> = Vec::new();
+    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+        cur.copy_from(live.live_out(b));
+        pcs.clear();
+        pcs.extend((start..end).rev().filter(|&pc| !dead[pc]));
         for (i, &pc) in pcs.iter().enumerate() {
             let op = f.ops[pc];
             if let Op::Mov { dst: s, src: d } = op {
                 let prev = pcs.get(i + 1);
                 let coalescable = s != d
-                    && !live.contains(d as usize)
+                    && !cur.contains(d as usize)
                     && f.reg_class[s as usize] == f.reg_class[d as usize]
                     && prev.is_some_and(|&q| f.ops[q].def() == Some(d));
                 if coalescable {
@@ -180,9 +411,9 @@ fn coalesce_defs(f: &mut VmFunction, dead: &mut [bool]) {
                 }
             }
             if let Some(dd) = op.def() {
-                live.remove(dd as usize);
+                cur.remove(dd as usize);
             }
-            op.for_each_use(&f.call_args, |r| live.insert(r as usize));
+            op.for_each_use(&f.call_args, |r| cur.insert(r as usize));
         }
     }
 }
@@ -190,14 +421,10 @@ fn coalesce_defs(f: &mut VmFunction, dead: &mut [bool]) {
 /// Fuses `dst = cmp …; br dst, T, E` into `cmpbr …, T, E` when the `Cmp`
 /// immediately precedes its block's `Br` (among live ops) and `dst` has no
 /// other consumer (`dst` not live out of the block).
-fn fuse_cmp_br(f: &mut VmFunction, dead: &mut [bool]) {
-    let n = f.num_regs as usize;
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (_, live_out) = liveness(f, n, &ranges, &succs, |pc| dead[pc]);
-    for (b, &(start, end)) in ranges.iter().enumerate() {
-        let mut live = (start..end).rev().filter(|&pc| !dead[pc]);
-        let (Some(t), Some(p)) = (live.next(), live.next()) else {
+fn fuse_cmp_br(f: &mut VmFunction, cfg: &Cfg, live: &Liveness, dead: &mut [bool]) {
+    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+        let mut ops = (start..end).rev().filter(|&pc| !dead[pc]);
+        let (Some(t), Some(p)) = (ops.next(), ops.next()) else {
             continue;
         };
         let Op::Br {
@@ -218,7 +445,7 @@ fn fuse_cmp_br(f: &mut VmFunction, dead: &mut [bool]) {
         else {
             continue;
         };
-        if dst != cond || live_out[b].contains(dst as usize) {
+        if dst != cond || bit(live.live_out(b), dst as usize) {
             continue;
         }
         f.ops[t] = Op::CmpBr {
@@ -271,7 +498,8 @@ fn fuse_bin_jmp(f: &mut VmFunction, dead: &mut [bool]) {
 /// Deletes `jmp` ops that target the instruction physically following them
 /// when nothing else jumps there, merging the two blocks. (RPO linearization
 /// makes loop bodies fall through to their latch, so these are common.)
-fn elide_fallthrough_jumps(f: &mut VmFunction, dead: &mut [bool]) {
+/// Returns, per block, whether it was merged into the block before it.
+fn elide_fallthrough_jumps(f: &mut VmFunction, dead: &mut [bool]) -> Vec<bool> {
     // Incoming-edge counts per target offset, over live ops only.
     let mut incoming: Vec<u32> = vec![0; f.ops.len()];
     for (pc, op) in f.ops.iter().enumerate() {
@@ -287,7 +515,7 @@ fn elide_fallthrough_jumps(f: &mut VmFunction, dead: &mut [bool]) {
             _ => {}
         }
     }
-    let mut merged_starts: Vec<u32> = Vec::new();
+    let mut merged = vec![false; f.block_starts.len()];
     for (pc, (op, d)) in f.ops.iter().zip(dead.iter_mut()).enumerate() {
         if *d {
             continue;
@@ -297,15 +525,19 @@ fn elide_fallthrough_jumps(f: &mut VmFunction, dead: &mut [bool]) {
         };
         // `Jmp` is a terminator, so `target == pc + 1` means the next block
         // starts right after it; one incoming edge means this is that edge.
-        if target as usize == pc + 1
-            && incoming[target as usize] == 1
-            && f.block_starts.binary_search(&target).is_ok()
-        {
-            *d = true;
-            merged_starts.push(target);
+        if target as usize == pc + 1 && incoming[target as usize] == 1 {
+            if let Ok(b) = f.block_starts.binary_search(&target) {
+                *d = true;
+                merged[b] = true;
+            }
         }
     }
-    f.block_starts.retain(|s| !merged_starts.contains(s));
+    let mut b = 0;
+    f.block_starts.retain(|_| {
+        b += 1;
+        !merged[b - 1]
+    });
+    merged
 }
 
 /// Drops marked ops and remaps every jump target and block start. Targets

@@ -16,7 +16,6 @@
 use crate::ops::{Op, Reg, RegClass, VmFunction};
 
 /// A dense bitset over virtual registers (shared with the peephole pass).
-#[derive(Clone, PartialEq)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
 }
@@ -37,36 +36,100 @@ impl BitSet {
     }
 
     pub(crate) fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
+        bit(&self.words, i)
     }
 
-    /// `self |= (other & !mask)`; returns true if anything changed.
-    fn union_minus(&mut self, other: &BitSet, mask: &BitSet) -> bool {
-        let mut changed = false;
-        for ((w, &o), &m) in self.words.iter_mut().zip(&other.words).zip(&mask.words) {
-            let new = *w | (o & !m);
-            changed |= new != *w;
-            *w = new;
-        }
-        changed
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
     }
 
-    fn union(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            let new = *w | o;
-            changed |= new != *w;
-            *w = new;
-        }
-        changed
+    /// Overwrites `self` with a same-sized row of a [`Liveness`] table.
+    pub(crate) fn copy_from(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
     }
+}
 
-    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1 << b) != 0)
-                .map(move |b| wi * 64 + b)
+/// Whether bit `i` of a packed row is set.
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// The set bits of a packed row, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (b < 64).then_some(wi * 64 + b)
         })
+    })
+}
+
+/// The block layout of an op stream: each block's `[start, end)` op range
+/// plus its successor and predecessor lists (read off the terminators).
+pub(crate) struct Cfg {
+    pub(crate) ranges: Vec<(usize, usize)>,
+    succ: Vec<u32>,
+    succ_at: Vec<u32>,
+    pred: Vec<u32>,
+    pred_at: Vec<u32>,
+}
+
+impl Cfg {
+    pub(crate) fn new(f: &VmFunction) -> Cfg {
+        let ranges = block_ranges(f);
+        let block_of = |off: u32| -> u32 {
+            match f.block_starts.binary_search(&off) {
+                Ok(i) => i as u32,
+                Err(i) => i as u32 - 1,
+            }
+        };
+        let mut succ = Vec::with_capacity(2 * ranges.len());
+        let mut succ_at = Vec::with_capacity(ranges.len() + 1);
+        succ_at.push(0);
+        for &(_, end) in &ranges {
+            match f.ops[end - 1] {
+                Op::Jmp { target } | Op::BinJmp { target, .. } => succ.push(block_of(target)),
+                Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
+                    succ.push(block_of(then_t));
+                    succ.push(block_of(else_t));
+                }
+                _ => {}
+            }
+            succ_at.push(succ.len() as u32);
+        }
+        // Predecessors: the transpose, by counting sort.
+        let mut pred_at = vec![0u32; ranges.len() + 1];
+        for &s in &succ {
+            pred_at[s as usize + 1] += 1;
+        }
+        for b in 0..ranges.len() {
+            pred_at[b + 1] += pred_at[b];
+        }
+        let mut fill = pred_at.clone();
+        let mut pred = vec![0u32; succ.len()];
+        for b in 0..ranges.len() {
+            for &s in &succ[succ_at[b] as usize..succ_at[b + 1] as usize] {
+                pred[fill[s as usize] as usize] = b as u32;
+                fill[s as usize] += 1;
+            }
+        }
+        Cfg {
+            ranges,
+            succ,
+            succ_at,
+            pred,
+            pred_at,
+        }
+    }
+
+    pub(crate) fn succs(&self, b: usize) -> &[u32] {
+        &self.succ[self.succ_at[b] as usize..self.succ_at[b + 1] as usize]
+    }
+
+    pub(crate) fn preds(&self, b: usize) -> &[u32] {
+        &self.pred[self.pred_at[b] as usize..self.pred_at[b + 1] as usize]
     }
 }
 
@@ -86,95 +149,149 @@ pub(crate) fn block_ranges(f: &VmFunction) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Successor block indices, read off each block's terminator op.
-pub(crate) fn successors(f: &VmFunction, ranges: &[(usize, usize)]) -> Vec<Vec<usize>> {
-    let block_of = |off: u32| -> usize {
-        match f.block_starts.binary_search(&off) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
-    };
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); ranges.len()];
-    for (s, &(_, end)) in succs.iter_mut().zip(ranges) {
-        match f.ops[end - 1] {
-            Op::Jmp { target } | Op::BinJmp { target, .. } => s.push(block_of(target)),
-            Op::Br { then_t, else_t, .. } | Op::CmpBr { then_t, else_t, .. } => {
-                s.push(block_of(then_t));
-                s.push(block_of(else_t));
-            }
-            _ => {}
-        }
-    }
-    succs
+/// Per-block `gen` (upward-exposed uses) and `kill` (defs) rows, the input
+/// to [`GenKill::solve`]. Built by visiting each block's ops in order.
+pub(crate) struct GenKill {
+    words: usize,
+    gen: Vec<u64>,
+    kill: Vec<u64>,
 }
 
-/// Block-level backward liveness to fixpoint over `n` registers; returns
-/// `(live_in, live_out)` per block. Ops for which `skip` returns true are
-/// treated as absent (the peephole pass masks deleted ops this way; register
-/// allocation passes `|_| false`).
-pub(crate) fn liveness(
-    f: &VmFunction,
-    n: usize,
-    ranges: &[(usize, usize)],
-    succs: &[Vec<usize>],
-    skip: impl Fn(usize) -> bool,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let nb = ranges.len();
-    // Per-block gen_set (upward-exposed uses) and kill (defs).
-    let mut gen_set: Vec<BitSet> = Vec::with_capacity(nb);
-    let mut kill: Vec<BitSet> = Vec::with_capacity(nb);
-    for &(start, end) in ranges {
-        let mut g = BitSet::new(n);
-        let mut k = BitSet::new(n);
-        for pc in start..end {
-            if skip(pc) {
-                continue;
-            }
-            let op = f.ops[pc];
-            op.for_each_use(&f.call_args, |r| {
-                if !k.contains(r as usize) {
-                    g.insert(r as usize);
-                }
-            });
-            if let Some(d) = op.def() {
-                k.insert(d as usize);
-            }
+impl GenKill {
+    pub(crate) fn new(n: usize, blocks: usize) -> GenKill {
+        let words = n.div_ceil(64);
+        GenKill {
+            words,
+            gen: vec![0; blocks * words],
+            kill: vec![0; blocks * words],
         }
-        gen_set.push(g);
-        kill.push(k);
     }
 
-    // live_in = gen_set ∪ (live_out − kill).
-    let mut live_in: Vec<BitSet> = vec![BitSet::new(n); nb];
-    let mut live_out: Vec<BitSet> = vec![BitSet::new(n); nb];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..nb).rev() {
-            for &s in &succs[b] {
-                let inn = live_in[s].clone();
-                changed |= live_out[b].union(&inn);
-            }
-            let out = live_out[b].clone();
-            changed |= live_in[b].union_minus(&out, &kill[b]);
-            changed |= live_in[b].union(&gen_set[b]);
+    /// Accounts for `op`, the next op of block `b`.
+    pub(crate) fn visit(&mut self, b: usize, op: Op, call_args: &[Reg]) {
+        let row = b * self.words;
+        let (g, k) = (&mut self.gen[row..], &mut self.kill[row..]);
+        op.for_each_use(call_args, |r| {
+            let (i, m) = (r as usize / 64, 1u64 << (r % 64));
+            g[i] |= m & !k[i];
+        });
+        if let Some(d) = op.def() {
+            k[d as usize / 64] |= 1 << (d % 64);
         }
     }
-    (live_in, live_out)
+
+    /// Solves `live_out = ∪ live_in(succ)`, `live_in = gen ∪ (live_out −
+    /// kill)` to its least fixpoint. Both only grow from empty, so
+    /// recomputing each row in place needs no per-iteration copies.
+    pub(crate) fn solve(self, cfg: &Cfg) -> Liveness {
+        let (w, nb) = (self.words, cfg.ranges.len());
+        let mut live_in = vec![0u64; nb * w];
+        let mut live_out = vec![0u64; nb * w];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..nb).rev() {
+                for i in 0..w {
+                    let out = cfg
+                        .succs(b)
+                        .iter()
+                        .fold(0, |acc, &s| acc | live_in[s as usize * w + i]);
+                    let x = b * w + i;
+                    let inn = self.gen[x] | (out & !self.kill[x]);
+                    live_out[x] = out;
+                    if inn != live_in[x] {
+                        live_in[x] = inn;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        Liveness {
+            words: w,
+            live_in,
+            live_out,
+        }
+    }
+}
+
+/// Block-level backward liveness over `f.num_regs` registers: one packed row of
+/// `live_in` and `live_out` bits per block, stored flat.
+#[derive(PartialEq)]
+pub(crate) struct Liveness {
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+}
+
+impl Liveness {
+    /// Solves to fixpoint. Ops for which `skip` returns true are treated as
+    /// absent (the peephole pass masks deleted ops this way; register
+    /// allocation passes `|_| false`).
+    pub(crate) fn solve(f: &VmFunction, cfg: &Cfg, skip: impl Fn(usize) -> bool) -> Liveness {
+        let mut gen_kill = GenKill::new(f.num_regs as usize, cfg.ranges.len());
+        for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
+            for pc in (start..end).filter(|&pc| !skip(pc)) {
+                gen_kill.visit(b, f.ops[pc], &f.call_args);
+            }
+        }
+        gen_kill.solve(cfg)
+    }
+
+    pub(crate) fn live_in(&self, b: usize) -> &[u64] {
+        &self.live_in[b * self.words..(b + 1) * self.words]
+    }
+
+    pub(crate) fn live_out(&self, b: usize) -> &[u64] {
+        &self.live_out[b * self.words..(b + 1) * self.words]
+    }
+
+    /// The solution after each block flagged in `merged` has been merged
+    /// into the block before it: a merged run enters as its first block and
+    /// leaves as its last.
+    pub(crate) fn merge_blocks(&self, merged: &[bool]) -> Liveness {
+        let w = self.words;
+        let (mut live_in, mut live_out) = (Vec::new(), Vec::new());
+        for (b, &m) in merged.iter().enumerate() {
+            if m {
+                let last = live_out.len() - w;
+                live_out[last..].copy_from_slice(self.live_out(b));
+            } else {
+                live_in.extend_from_slice(self.live_in(b));
+                live_out.extend_from_slice(self.live_out(b));
+            }
+        }
+        Liveness {
+            words: w,
+            live_in,
+            live_out,
+        }
+    }
+
+    /// Sets register `r`'s bit in `live_in`/`live_out` of block `b`.
+    pub(crate) fn set(&mut self, b: usize, r: usize, live_in: bool, live_out: bool) {
+        let (x, m) = (b * self.words + r / 64, 1u64 << (r % 64));
+        self.live_in[x] = (self.live_in[x] & !m) | if live_in { m } else { 0 };
+        self.live_out[x] = (self.live_out[x] & !m) | if live_out { m } else { 0 };
+    }
 }
 
 /// Rewrites `f` in place so registers are compactly numbered and reused
 /// where live intervals permit; updates `num_regs`, `reg_class`, `params`,
 /// `call_args`, and every op.
 pub fn allocate(f: &mut VmFunction) {
+    if f.num_regs == 0 || f.ops.is_empty() {
+        return;
+    }
+    let live = Liveness::solve(f, &Cfg::new(f), |_| false);
+    allocate_with(f, &live);
+}
+
+/// [`allocate`] with the function's block-level liveness already solved.
+pub(crate) fn allocate_with(f: &mut VmFunction, live: &Liveness) {
     let n = f.num_regs as usize;
     if n == 0 || f.ops.is_empty() {
         return;
     }
-    let nb = f.block_starts.len();
-    let ranges = block_ranges(f);
-    let succs = successors(f, &ranges);
-    let (live_in, live_out) = liveness(f, n, &ranges, &succs, |_| false);
 
     // Conservative hole-free intervals: cover every def/use position plus
     // every block boundary the value is live across.
@@ -200,20 +317,19 @@ pub fn allocate(f: &mut VmFunction) {
             touch(&mut start, &mut end, r as usize, pc)
         });
     }
-    for b in 0..nb {
-        let (bs, be) = ranges[b];
-        for v in live_in[b].iter_ones() {
+    for (b, (bs, be)) in block_ranges(f).into_iter().enumerate() {
+        for v in ones(live.live_in(b)) {
             touch(&mut start, &mut end, v, bs);
         }
-        for v in live_out[b].iter_ones() {
+        for v in ones(live.live_out(b)) {
             touch(&mut start, &mut end, v, be - 1);
         }
     }
 
     // Linear scan with per-class free pools. Registers never share even when
     // intervals merely touch (strict `<` expiry) — a cheap safety margin.
-    let mut order: Vec<usize> = (0..n).filter(|&v| start[v] != UNSET).collect();
-    order.sort_unstable_by_key(|&v| (start[v], v));
+    let live_regs: Vec<usize> = (0..n).filter(|&v| start[v] != UNSET).collect();
+    let order = sort_by_position(&live_regs, f.ops.len(), |v| start[v]);
     let mut assign: Vec<Reg> = vec![0; n];
     let mut phys_class: Vec<RegClass> = Vec::new();
     let mut free: [Vec<Reg>; 3] = [Vec::new(), Vec::new(), Vec::new()];
@@ -222,16 +338,25 @@ pub fn allocate(f: &mut VmFunction) {
         RegClass::Float => 1,
         RegClass::Ptr => 2,
     };
-    let mut active: Vec<(usize, Reg, usize)> = Vec::new(); // (end, phys, class idx)
+    // Allocation ranks sorted by `(end, rank)`. `start` only grows along
+    // `order`, and an interval ends no earlier than it starts, so the
+    // intervals expired before each allocation are the next run of this
+    // list. They return to their pools in allocation order (the run is
+    // re-sorted by rank in place; nothing reads it again), so the pools pop
+    // exactly as a scan of an insertion-ordered active list would.
+    let ranks: Vec<usize> = (0..order.len()).collect();
+    let mut by_end = sort_by_position(&ranks, f.ops.len(), |k| end[order[k]]);
+    let mut front = 0;
     for &v in &order {
-        active.retain(|&(e, phys, ci)| {
-            if e < start[v] {
-                free[ci].push(phys);
-                false
-            } else {
-                true
-            }
-        });
+        let first = front;
+        while front < by_end.len() && end[order[by_end[front]]] < start[v] {
+            front += 1;
+        }
+        by_end[first..front].sort_unstable();
+        for &k in &by_end[first..front] {
+            let u = order[k];
+            free[class_idx(f.reg_class[u])].push(assign[u]);
+        }
         let ci = class_idx(f.reg_class[v]);
         let phys = match free[ci].pop() {
             Some(p) => p,
@@ -242,7 +367,6 @@ pub fn allocate(f: &mut VmFunction) {
             }
         };
         assign[v] = phys;
-        active.push((end[v], phys, ci));
     }
 
     // Rename everything.
@@ -257,6 +381,25 @@ pub fn allocate(f: &mut VmFunction) {
     }
     f.num_regs = phys_class.len() as u16;
     f.reg_class = phys_class;
+}
+
+/// `items` stably sorted by `key`, an op position below `bound` (a counting
+/// sort: positions are dense and items few, so this beats comparisons).
+fn sort_by_position(items: &[usize], bound: usize, key: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut at = vec![0usize; bound + 1];
+    for &x in items {
+        at[key(x) + 1] += 1;
+    }
+    for i in 0..bound {
+        at[i + 1] += at[i];
+    }
+    let mut sorted = vec![0; items.len()];
+    for &x in items {
+        let k = key(x);
+        sorted[at[k]] = x;
+        at[k] += 1;
+    }
+    sorted
 }
 
 #[cfg(test)]

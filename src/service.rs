@@ -322,7 +322,7 @@ impl Service {
                     if ci.diags.is_empty() && vm_ready {
                         let bytecode = code.as_ref().map(|c| Arc::new(omplt_vm::encode(c)));
                         let size = job.source.len()
-                            + omplt_ir::print_module(&module).len()
+                            + omplt_ir::printed_len(&module)
                             + bytecode.as_deref().map_or(0, |b| b.len());
                         self.cache.insert(
                             k,

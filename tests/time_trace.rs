@@ -153,6 +153,46 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
 }
 
 #[test]
+fn vm_compile_phases_nest_under_vm_compile() {
+    // The bytecode compiler's three phases each get a span per function, so
+    // `--time-report` shows where `vm.compile` goes.
+    let trace = temp_path("stencil.vm.trace.json");
+    let out = ompltc()
+        .arg(format!("--time-trace={}", trace.display()))
+        .args(["--backend=vm", "--opt", "--run"])
+        .arg(STENCIL)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let spans = complete_events(&json::parse(&text).unwrap());
+    let compiles: Vec<&Span> = spans.iter().filter(|s| s.name == "vm.compile").collect();
+    assert!(!compiles.is_empty(), "no vm.compile span in:\n{text}");
+    for phase in [
+        "vm.compile.lower",
+        "vm.compile.peephole",
+        "vm.compile.regalloc",
+    ] {
+        let mine: Vec<&Span> = spans.iter().filter(|s| s.name == phase).collect();
+        assert!(!mine.is_empty(), "no '{phase}' span in:\n{text}");
+        for p in mine {
+            assert!(
+                compiles
+                    .iter()
+                    .any(|c| c.tid == p.tid && c.start <= p.start && p.end <= c.end),
+                "'{phase}' [{},{}) lies outside every vm.compile span",
+                p.start,
+                p.end
+            );
+        }
+    }
+}
+
+#[test]
 fn counters_json_is_deterministic_across_runs() {
     let run = |tag: &str| {
         let path = temp_path(&format!("stencil.counters.{tag}.json"));
