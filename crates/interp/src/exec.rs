@@ -23,6 +23,7 @@ pub enum RtVal {
 
 impl RtVal {
     /// Integer payload (pointers coerce — C-style).
+    #[inline]
     pub fn as_i(self) -> i64 {
         match self {
             RtVal::I(v) => v,
@@ -32,6 +33,7 @@ impl RtVal {
     }
 
     /// Float payload.
+    #[inline]
     pub fn as_f(self) -> f64 {
         match self {
             RtVal::F(v) => v,
@@ -41,6 +43,7 @@ impl RtVal {
     }
 
     /// Pointer payload.
+    #[inline]
     pub fn as_p(self) -> u64 {
         match self {
             RtVal::P(p) => p,
@@ -503,11 +506,50 @@ pub fn encode_scalar(ty: IrType, v: RtVal) -> u64 {
     }
 }
 
+// Each of the three shared operations below is split in two. A small
+// `#[inline(always)]` front answers the common case — integer operands of an
+// integer type under an op that cannot trap — inside both dispatch loops; an
+// `#[inline(never)]` general path answers everything else (floats, pointers,
+// mixed operand tags, division, shifts, odd types). Both halves compute
+// through the same integer kernels (`int_bin_total`, `int_cmp`, `int_cast`),
+// so no arithmetic is written twice; the unit tests check that each front
+// returns what its general path would for every op, type and operand mix.
+
+/// The integer binary ops that cannot trap, or `None` for every other op.
+/// Their low bits depend only on the operands' low bits, so the caller's
+/// wrap to the type's width is exact whatever the upper bits hold.
+#[inline(always)]
+fn int_bin_total(op: BinOpKind, x: i64, y: i64) -> Option<i64> {
+    use BinOpKind::*;
+    Some(match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        And => x & y,
+        Or => x | y,
+        Xor => x ^ y,
+        _ => return None,
+    })
+}
+
 /// Executes one binary operation. Public so the bytecode VM shares *exactly*
 /// these semantics (wrapping, pointer flavor, division checks) — differential
 /// tests require bit-identical arithmetic between backends.
-#[inline]
+#[inline(always)]
 pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
+    if let (RtVal::I(x), RtVal::I(y)) = (a, b) {
+        if ty.is_int() {
+            if let Some(r) = int_bin_total(op, x, y) {
+                return Ok(RtVal::I(ty.wrap(r)));
+            }
+        }
+    }
+    exec_bin_general(op, ty, a, b)
+}
+
+/// [`exec_bin`]'s general path: every operand tag, type and op.
+#[inline(never)]
+fn exec_bin_general(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, ExecError> {
     use BinOpKind::*;
     if op.is_float() {
         let (x, y) = (a.as_f(), b.as_f());
@@ -540,11 +582,11 @@ pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, 
         return Ok(RtVal::P(r));
     }
     let (x, y) = (a.as_i(), b.as_i());
+    if let Some(r) = int_bin_total(op, x, y) {
+        return Ok(RtVal::I(ty.wrap(r)));
+    }
     let (ux, uy) = (ty.wrap_unsigned(x), ty.wrap_unsigned(y));
     let r = match op {
-        Add => x.wrapping_add(y),
-        Sub => x.wrapping_sub(y),
-        Mul => x.wrapping_mul(y),
         SDiv => {
             if y == 0 {
                 return Err(ExecError::DivByZero);
@@ -572,17 +614,45 @@ pub fn exec_bin(op: BinOpKind, ty: IrType, a: RtVal, b: RtVal) -> Result<RtVal, 
         Shl => x.wrapping_shl((uy & 63) as u32),
         AShr => x.wrapping_shr((uy & 63) as u32),
         LShr => (ux >> (uy & (ty.bits() as u64 - 1).max(1))) as i64,
-        And => x & y,
-        Or => x | y,
-        Xor => x ^ y,
         _ => unreachable!(),
     };
     Ok(RtVal::I(ty.wrap(r)))
 }
 
+/// An integer comparison: signed predicates on the sign-extended values,
+/// equality and unsigned predicates on the width-wrapped unsigned ones.
+#[inline(always)]
+fn int_cmp(pred: CmpPred, x: i64, y: i64, ux: u64, uy: u64) -> bool {
+    use CmpPred::*;
+    match pred {
+        Eq => ux == uy,
+        Ne => ux != uy,
+        Slt => x < y,
+        Sle => x <= y,
+        Sgt => x > y,
+        Sge => x >= y,
+        Ult => ux < uy,
+        Ule => ux <= uy,
+        Ugt => ux > uy,
+        Uge => ux >= uy,
+        _ => unreachable!(),
+    }
+}
+
 /// Executes one comparison (shared with the bytecode VM, see [`exec_bin`]).
-#[inline]
+#[inline(always)]
 pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
+    if let (RtVal::I(x), RtVal::I(y)) = (a, b) {
+        if ty.is_int() && !pred.is_float() {
+            return int_cmp(pred, x, y, ty.wrap_unsigned(x), ty.wrap_unsigned(y));
+        }
+    }
+    exec_cmp_general(pred, ty, a, b)
+}
+
+/// [`exec_cmp`]'s general path: every operand tag, type and predicate.
+#[inline(never)]
+fn exec_cmp_general(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
     use CmpPred::*;
     if pred.is_float() {
         let (x, y) = (a.as_f(), b.as_f());
@@ -602,28 +672,36 @@ pub fn exec_cmp(pred: CmpPred, ty: IrType, a: RtVal, b: RtVal) -> bool {
     } else {
         (ty.wrap_unsigned(x), ty.wrap_unsigned(y))
     };
-    match pred {
-        Eq => ux == uy,
-        Ne => ux != uy,
-        Slt => x < y,
-        Sle => x <= y,
-        Sgt => x > y,
-        Sge => x >= y,
-        Ult => ux < uy,
-        Ule => ux <= uy,
-        Ugt => ux > uy,
-        Uge => ux >= uy,
+    int_cmp(pred, x, y, ux, uy)
+}
+
+/// The integer-to-integer casts (`Trunc`, `SExt`, `ZExt`).
+#[inline(always)]
+fn int_cast(op: CastOp, from: IrType, to: IrType, x: i64) -> i64 {
+    match op {
+        CastOp::Trunc => to.wrap(x),
+        CastOp::SExt => x,
+        CastOp::ZExt => from.wrap_unsigned(x) as i64,
         _ => unreachable!(),
     }
 }
 
 /// Executes one conversion (shared with the bytecode VM, see [`exec_bin`]).
-#[inline]
+#[inline(always)]
 pub fn exec_cast(op: CastOp, from: IrType, to: IrType, v: RtVal) -> RtVal {
+    if let RtVal::I(x) = v {
+        if matches!(op, CastOp::Trunc | CastOp::SExt | CastOp::ZExt) {
+            return RtVal::I(int_cast(op, from, to, x));
+        }
+    }
+    exec_cast_general(op, from, to, v)
+}
+
+/// [`exec_cast`]'s general path: every operand tag and conversion.
+#[inline(never)]
+fn exec_cast_general(op: CastOp, from: IrType, to: IrType, v: RtVal) -> RtVal {
     match op {
-        CastOp::Trunc => RtVal::I(to.wrap(v.as_i())),
-        CastOp::SExt => RtVal::I(v.as_i()),
-        CastOp::ZExt => RtVal::I(from.wrap_unsigned(v.as_i()) as i64),
+        CastOp::Trunc | CastOp::SExt | CastOp::ZExt => RtVal::I(int_cast(op, from, to, v.as_i())),
         CastOp::SiToFp => RtVal::F(round_to(to, v.as_i() as f64)),
         CastOp::UiToFp => RtVal::F(round_to(to, from.wrap_unsigned(v.as_i()) as f64)),
         CastOp::FpToSi => RtVal::I(to.wrap(v.as_f() as i64)),
@@ -794,5 +872,202 @@ mod tests {
         m.add_function(f);
         let r = Interpreter::new(&m, RuntimeConfig::default()).run_main();
         assert!(matches!(r.unwrap_err(), ExecError::UnknownFunction(n) if n == "mystery_fn"));
+    }
+
+    const ALL_BIN: [BinOpKind; 18] = {
+        use BinOpKind::*;
+        [
+            Add, Sub, Mul, SDiv, UDiv, SRem, URem, Shl, AShr, LShr, And, Or, Xor, FAdd, FSub, FMul,
+            FDiv, FRem,
+        ]
+    };
+    const ALL_CMP: [CmpPred; 16] = {
+        use CmpPred::*;
+        [
+            Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge, FEq, FNe, FLt, FLe, FGt, FGe,
+        ]
+    };
+    const ALL_CAST: [CastOp; 11] = {
+        use CastOp::*;
+        [
+            Trunc, ZExt, SExt, SiToFp, UiToFp, FpToSi, FpToUi, FpTrunc, FpExt, PtrToInt, IntToPtr,
+        ]
+    };
+    const ALL_TYPES: [IrType; 8] = [
+        IrType::I1,
+        IrType::I8,
+        IrType::I16,
+        IrType::I32,
+        IrType::I64,
+        IrType::Ptr,
+        IrType::F32,
+        IrType::F64,
+    ];
+
+    /// Fails to compile when a variant is added, so the tables above stay
+    /// complete.
+    #[allow(dead_code)]
+    fn tables_are_exhaustive(b: BinOpKind, c: CmpPred, k: CastOp) {
+        use BinOpKind::*;
+        use CastOp::*;
+        use CmpPred::*;
+        match b {
+            Add | Sub | Mul | SDiv | UDiv | SRem | URem | Shl | AShr | LShr | And | Or | Xor
+            | FAdd | FSub | FMul | FDiv | FRem => {}
+        }
+        match c {
+            Eq | Ne | Slt | Sle | Sgt | Sge | Ult | Ule | Ugt | Uge | FEq | FNe | FLt | FLe
+            | FGt | FGe => {}
+        }
+        match k {
+            Trunc | ZExt | SExt | SiToFp | UiToFp | FpToSi | FpToUi | FpTrunc | FpExt
+            | PtrToInt | IntToPtr => {}
+        }
+    }
+
+    /// Every operand the equivalence tests feed the three operations: the
+    /// boundary integers (including ones that are not sign-extended to a
+    /// narrow width) under each of the `I`/`P`/`F` tags, plus special floats.
+    fn operands() -> Vec<RtVal> {
+        let ints = [
+            0,
+            1,
+            -1,
+            2,
+            127,
+            128,
+            255,
+            0x8000,
+            0xFFFF,
+            i32::MIN as i64,
+            i32::MAX as i64,
+            i32::MAX as i64 + 1,
+            u32::MAX as i64,
+            1 << 32,
+            i64::MIN,
+            i64::MAX,
+        ];
+        let mut v = Vec::new();
+        for i in ints {
+            v.extend([RtVal::I(i), RtVal::P(i as u64), RtVal::F(i as f64)]);
+        }
+        v.extend([
+            RtVal::F(-0.0),
+            RtVal::F(0.5),
+            RtVal::F(-1.5),
+            RtVal::F(f64::NAN),
+            RtVal::F(f64::INFINITY),
+            RtVal::F(f64::NEG_INFINITY),
+        ]);
+        v
+    }
+
+    /// Bit-exact identity of a value (NaN-safe, and `-0.0 != 0.0`).
+    fn bits(v: RtVal) -> (u8, u64) {
+        match v {
+            RtVal::I(i) => (0, i as u64),
+            RtVal::F(f) => (1, f.to_bits()),
+            RtVal::P(p) => (2, p),
+        }
+    }
+
+    #[test]
+    fn bin_front_matches_general_path() {
+        let vals = operands();
+        let mut fronted = 0;
+        for op in ALL_BIN {
+            for ty in ALL_TYPES {
+                // The general path's `lshr` mask is defined for integer
+                // widths only (it underflows for width 0 in debug builds);
+                // the front never takes a float type, so both are one call.
+                if op == BinOpKind::LShr && ty.is_float() {
+                    continue;
+                }
+                for &a in &vals {
+                    for &b in &vals {
+                        let front = exec_bin(op, ty, a, b).map(bits);
+                        let general = exec_bin_general(op, ty, a, b).map(bits);
+                        assert_eq!(front, general, "{op:?} {ty:?} {a:?} {b:?}");
+                        if matches!((a, b), (RtVal::I(_), RtVal::I(_)))
+                            && ty.is_int()
+                            && int_bin_total(op, 0, 0).is_some()
+                        {
+                            fronted += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fronted > 0, "the integer front was never exercised");
+    }
+
+    #[test]
+    fn bin_errors_are_the_general_paths() {
+        for op in [
+            BinOpKind::SDiv,
+            BinOpKind::UDiv,
+            BinOpKind::SRem,
+            BinOpKind::URem,
+        ] {
+            for ty in [IrType::I8, IrType::I32, IrType::I64] {
+                assert_eq!(
+                    exec_bin(op, ty, RtVal::I(7), RtVal::I(0)),
+                    Err(ExecError::DivByZero)
+                );
+            }
+        }
+        // An unsigned divisor of 2^32 wraps to zero at i32.
+        assert_eq!(
+            exec_bin(BinOpKind::UDiv, IrType::I32, RtVal::I(7), RtVal::I(1 << 32)),
+            Err(ExecError::DivByZero)
+        );
+        let non_additive = Err(ExecError::Malformed(
+            "non-additive pointer arithmetic".into(),
+        ));
+        for op in ALL_BIN {
+            if op.is_float() || matches!(op, BinOpKind::Add | BinOpKind::Sub) {
+                continue;
+            }
+            for (a, b) in [(RtVal::P(1 << 32), RtVal::I(8)), (RtVal::I(3), RtVal::I(4))] {
+                assert_eq!(exec_bin(op, IrType::Ptr, a, b), non_additive, "{op:?}");
+                assert_eq!(exec_bin_general(op, IrType::Ptr, a, b), non_additive);
+            }
+        }
+    }
+
+    #[test]
+    fn cmp_front_matches_general_path() {
+        let vals = operands();
+        for pred in ALL_CMP {
+            for ty in ALL_TYPES {
+                for &a in &vals {
+                    for &b in &vals {
+                        assert_eq!(
+                            exec_cmp(pred, ty, a, b),
+                            exec_cmp_general(pred, ty, a, b),
+                            "{pred:?} {ty:?} {a:?} {b:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cast_front_matches_general_path() {
+        let vals = operands();
+        for op in ALL_CAST {
+            for from in ALL_TYPES {
+                for to in ALL_TYPES {
+                    for &v in &vals {
+                        assert_eq!(
+                            bits(exec_cast(op, from, to, v)),
+                            bits(exec_cast_general(op, from, to, v)),
+                            "{op:?} {from:?} -> {to:?} {v:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -41,6 +41,7 @@ impl SegmentedArena {
     }
 
     /// (segment index, offset within segment) for a flat index.
+    #[inline]
     fn locate(idx: u64) -> (usize, usize) {
         // segment k covers indices [2^k - 1, 2^(k+1) - 1)
         let seg = (64 - (idx + 1).leading_zeros() - 1) as usize;
@@ -67,6 +68,7 @@ impl SegmentedArena {
     }
 
     /// Wait-free lookup.
+    #[inline]
     fn get(&self, idx: u64) -> Option<&Region> {
         if idx >= self.len.load(Ordering::Acquire) {
             return None;
@@ -131,34 +133,25 @@ impl Memory {
         (ptr & FN_PTR_TAG != 0).then_some((ptr & 0xFFFF_FFFF) as u32)
     }
 
+    /// Resolves an access of `len` bytes at `ptr` to its region and offset.
+    /// Only the in-bounds answer is built here; failures are described by
+    /// the out-of-line [`access_error`], so this check stays small enough to
+    /// inline into both engines' load and store paths.
+    #[inline]
     fn check(&self, ptr: u64, len: u64) -> Result<(&Region, u64), MemError> {
-        if ptr & FN_PTR_TAG != 0 {
-            return Err(MemError {
-                what: format!("data access through function pointer {ptr:#x}"),
-            });
-        }
-        let region = (ptr >> 32) as u32;
+        let region = ptr >> 32;
         let offset = ptr & 0xFFFF_FFFF;
-        if region == 0 {
-            return Err(MemError {
-                what: "null pointer dereference".to_string(),
-            });
+        if ptr & FN_PTR_TAG != 0 || region == 0 {
+            return Err(access_error(ptr, len, None));
         }
-        match self.regions.get(region as u64) {
+        match self.regions.get(region) {
             Some(reg) if offset + len <= reg.size_bytes => Ok((reg, offset)),
-            Some(reg) => Err(MemError {
-                what: format!(
-                    "out-of-bounds access: offset {offset}+{len} in region of {} bytes",
-                    reg.size_bytes
-                ),
-            }),
-            None => Err(MemError {
-                what: format!("dangling pointer {ptr:#x}"),
-            }),
+            reg => Err(access_error(ptr, len, reg.map(|r| r.size_bytes))),
         }
     }
 
     /// Loads `len` (1/2/4/8) bytes, zero-extended into a `u64`.
+    #[inline]
     pub fn load(&self, ptr: u64, len: u64) -> Result<u64, MemError> {
         let (reg, offset) = self.check(ptr, len)?;
         let word_idx = (offset / 8) as usize;
@@ -185,6 +178,7 @@ impl Memory {
     }
 
     /// Stores the low `len` bytes of `val`.
+    #[inline]
     pub fn store(&self, ptr: u64, len: u64, val: u64) -> Result<(), MemError> {
         let (reg, offset) = self.check(ptr, len)?;
         let word_idx = (offset / 8) as usize;
@@ -248,6 +242,28 @@ impl Memory {
     }
 }
 
+/// Describes why [`Memory::check`] refused an access of `len` bytes at
+/// `ptr`; `region_size` is the size of the region `ptr` names, when it names
+/// a live one.
+#[cold]
+#[inline(never)]
+fn access_error(ptr: u64, len: u64, region_size: Option<u64>) -> MemError {
+    let offset = ptr & 0xFFFF_FFFF;
+    let what = if ptr & FN_PTR_TAG != 0 {
+        format!("data access through function pointer {ptr:#x}")
+    } else if ptr >> 32 == 0 {
+        "null pointer dereference".to_string()
+    } else {
+        match region_size {
+            Some(size) => {
+                format!("out-of-bounds access: offset {offset}+{len} in region of {size} bytes")
+            }
+            None => format!("dangling pointer {ptr:#x}"),
+        }
+    };
+    MemError { what }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +308,37 @@ mod tests {
         assert!(m.load(p, 8).is_err());
         assert!(m.load(p + 4, 1).is_err());
         assert!(m.store(p, 4, 0).is_ok());
+    }
+
+    /// The four access-error texts, byte for byte: both engines surface
+    /// them verbatim as `memory error: …` runtime diagnostics.
+    #[test]
+    fn access_error_texts_are_pinned() {
+        let m = Memory::new();
+        let what = |r: Result<u64, MemError>| r.unwrap_err().what;
+        assert_eq!(what(m.load(0, 8)), "null pointer dereference");
+        assert_eq!(what(m.load(12, 4)), "null pointer dereference");
+        let p = m.alloc(12);
+        assert_eq!(
+            what(m.load(p + 8, 8)),
+            "out-of-bounds access: offset 8+8 in region of 12 bytes"
+        );
+        assert_eq!(
+            m.store(p + 12, 1, 0).unwrap_err().what,
+            "out-of-bounds access: offset 12+1 in region of 12 bytes"
+        );
+        assert_eq!(
+            what(m.load(7 << 32 | 16, 4)),
+            "dangling pointer 0x700000010"
+        );
+        assert_eq!(
+            m.store(Memory::encode_fn_ptr(3), 8, 0).unwrap_err().what,
+            "data access through function pointer 0x8000000000000003"
+        );
+        assert_eq!(
+            m.fetch_add_i64(0, 1).unwrap_err().what,
+            "null pointer dereference"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The OpenMP runtime shim (plus tiny I/O builtins).
 //!
 //! Implements the calls that Clang's "early outlining" lowering targets
-//! (paper §1): `__kmpc_fork_call` spawns a real thread team with
-//! `std::thread::scope`, `__kmpc_for_static_init` computes static-schedule
+//! (paper §1): `__kmpc_fork_call` runs a real thread team — the forking
+//! thread as member 0 plus `team − 1` threads spawned with
+//! `std::thread::scope` — `__kmpc_for_static_init` computes static-schedule
 //! chunk bounds (types 34 = static, 33 = static-chunked, exactly the libomp
 //! constants), `__kmpc_dispatch_init_8`/`__kmpc_dispatch_next_8`/
 //! `__kmpc_dispatch_fini_8` serve the non-static schedules (35 = dynamic,
@@ -15,6 +16,7 @@ use crate::exec::{ExecError, RtVal};
 use crate::memory::Memory;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -531,7 +533,8 @@ pub fn dispatch<E: Engine>(
     }
 }
 
-/// `__kmpc_fork_call(fnptr, nargs, cap0, cap1, …)` — spawns the team.
+/// `__kmpc_fork_call(fnptr, nargs, cap0, cap1, …)` — runs the team, with
+/// the forking thread as member 0.
 fn fork_call<E: Engine>(
     e: &E,
     args: Vec<RtVal>,
@@ -573,52 +576,71 @@ fn fork_call<E: Engine>(
     // immutable, memory is atomic, output is mutexed), so scoped threads
     // can share it.
     let state = TeamState::new(team, true);
-    let mut first_err: Option<ExecError> = None;
-    let mut lost: Option<u32> = None;
-    // Team members inherit the forking thread's trace session (if any), so
-    // runtime counters and spans from worker threads land in the same trace.
+    // One member's whole stay in the region, on whichever thread runs it.
+    let member = |tid: u32| {
+        // Feeds the watchdog on every exit path out of the region, panic
+        // unwind included.
+        let _departure = DepartureGuard {
+            team: &state,
+            gtid: tid,
+        };
+        let child = ThreadCtx::team_member(tid, team, Arc::clone(&state));
+        let mut a = vec![RtVal::I(tid as i64), RtVal::I(tid as i64)];
+        a.extend(caps.iter().copied());
+        e.call_by_name(&name, a, &child).map(|_| ())
+    };
+    // Spawned members inherit the forking thread's trace session (if any),
+    // so runtime counters and spans from worker threads land in the same
+    // trace.
     let trace = omplt_trace::handle();
     // They also inherit the forking job's fault scope: injected runtime
     // faults (`runtime.lost-thread`) must trigger on this job's team members
     // and never on a concurrent job sharing the process.
     let fault = omplt_fault::handle();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..team)
+    let outcomes: Vec<std::thread::Result<Result<(), ExecError>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..team)
             .map(|tid| {
-                let name = name.clone();
-                let caps = caps.clone();
-                let state = Arc::clone(&state);
                 let trace = trace.clone();
                 let fault = fault.clone();
+                let member = &member;
                 s.spawn(move || {
                     let _trace = trace.as_ref().map(omplt_trace::Handle::attach);
                     let _fault = fault.attach();
-                    // Feeds the watchdog on every exit path out of the
-                    // region, panic unwind included.
-                    let _departure = DepartureGuard {
-                        team: &state,
-                        gtid: tid,
-                    };
-                    let child = ThreadCtx::team_member(tid, team, Arc::clone(&state));
-                    let mut a = vec![RtVal::I(tid as i64), RtVal::I(tid as i64)];
-                    a.extend(caps);
-                    e.call_by_name(&name, a, &child).map(|_| ())
+                    member(tid)
                 })
             })
             .collect();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(ExecError::LostThread(g))) => lost = Some(g),
-                Ok(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                Err(_) => {
-                    first_err.get_or_insert(ExecError::ThreadPanic);
-                }
+        // The forking thread becomes the team's primary thread (gtid 0), as
+        // OpenMP prescribes for the encountering thread, so a team of `n`
+        // spawns only `n - 1` threads. It is treated like a spawned member:
+        // contained while it runs, and a panic becomes `ThreadPanic` (with
+        // its capture record dropped, so no later ICE report on this thread
+        // can pick it up).
+        let primary = {
+            let _fault = fault.attach();
+            std::panic::catch_unwind(AssertUnwindSafe(|| member(0)))
+        };
+        if primary.is_err() {
+            omplt_fault::take_panic();
+        }
+        std::iter::once(primary)
+            .chain(handles.into_iter().map(|h| h.join()))
+            .collect()
+    });
+    let mut first_err: Option<ExecError> = None;
+    let mut lost: Option<u32> = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(ExecError::LostThread(g))) => lost = Some(g),
+            Ok(Err(e)) => {
+                first_err.get_or_insert(e);
+            }
+            Err(_) => {
+                first_err.get_or_insert(ExecError::ThreadPanic);
             }
         }
-    });
+    }
     match (first_err, lost) {
         // Waiters report the richer poisoned-barrier diagnostic when the
         // watchdog caught them mid-wait.
@@ -861,7 +883,7 @@ fn dispatch_next<E: Engine>(
 mod tests {
     use super::*;
     use crate::exec::Interpreter;
-    use omplt_ir::{Function, IrBuilder, IrType, Module, Value};
+    use omplt_ir::{BinOpKind, Function, IrBuilder, IrType, Module, Value};
     use std::collections::HashSet;
 
     /// A full team releases the watchdog barrier normally, repeatedly.
@@ -997,6 +1019,168 @@ mod tests {
             .run_main()
             .unwrap();
         assert_eq!(serial.exit_code, parallel.exit_code);
+    }
+
+    /// Builds a module that forks a team of two whose outlined body waits
+    /// at `__kmpc_barrier` in every member except those in `skip`, which
+    /// leave the region without it.
+    fn barrier_module(skip: &[u32]) -> Module {
+        let mut m = Module::new();
+        let outlined_sym = m.intern("outlined");
+        let fork = m.intern("__kmpc_fork_call");
+        let push = m.intern("__kmpc_push_num_threads");
+        let barrier = m.intern("__kmpc_barrier");
+
+        let mut o = Function::new("outlined", vec![IrType::I32, IrType::I32], IrType::Void);
+        {
+            let mut b = IrBuilder::new(&mut o);
+            let wait = b.create_block("wait");
+            let leave = b.create_block("leave");
+            // leaves = (mask >> gtid) & 1, with one mask bit per skipper
+            let mask = skip.iter().fold(0, |m, g| m | 1 << g);
+            let bit = b.bin(BinOpKind::LShr, Value::i32(mask), Value::Arg(0));
+            let bit = b.bin(BinOpKind::And, bit, Value::i32(1));
+            let leaves = b.cmp(omplt_ir::CmpPred::Ne, bit, Value::i32(0));
+            b.cond_br(leaves, leave, wait);
+            b.set_insert_point(wait);
+            b.call(barrier, vec![Value::i32(0), Value::Arg(0)], IrType::Void);
+            b.br(leave);
+            b.set_insert_point(leave);
+            b.ret(None);
+        }
+        m.add_function(o);
+
+        let mut f = Function::new("main", vec![], IrType::I32);
+        {
+            let mut b = IrBuilder::new(&mut f);
+            b.call(push, vec![Value::i32(2)], IrType::Void);
+            b.call(
+                fork,
+                vec![
+                    Value::FuncRef(omplt_ir::SymbolId(outlined_sym.0)),
+                    Value::i32(0),
+                ],
+                IrType::Void,
+            );
+            b.ret(Some(Value::i32(0)));
+        }
+        m.add_function(f);
+        m
+    }
+
+    /// A member that skips the barrier is reported by the watchdog whether
+    /// it is member 0 (run by the forking thread) or member 1 (a spawned
+    /// thread); the diagnostic names the member that left and the one
+    /// stranded at the barrier.
+    #[test]
+    fn watchdog_names_the_departed_member_on_either_thread() {
+        for (skip, waiter) in [(0u32, 1u32), (1, 0)] {
+            let m = barrier_module(&[skip]);
+            let err = Interpreter::new(&m, RuntimeConfig::default())
+                .run_main()
+                .expect_err("a skipped barrier deadlocks the team");
+            assert_eq!(
+                err,
+                ExecError::BarrierDeadlock(format!(
+                    "watchdog: barrier deadlock in team of 2: thread(s) {skip} exited \
+                     without reaching '__kmpc_barrier' while thread(s) {waiter} wait at it"
+                )),
+                "member {skip} skips the barrier"
+            );
+        }
+        let m = barrier_module(&[]);
+        Interpreter::new(&m, RuntimeConfig::default())
+            .run_main()
+            .expect("a full team passes the barrier");
+    }
+
+    /// Wraps the interpreter to observe (or break) the team members
+    /// `__kmpc_fork_call` starts: records which thread ran member 0 and
+    /// panics in the member `panic_gtid`.
+    struct Probe<'m> {
+        inner: Interpreter<'m>,
+        panic_gtid: Option<u32>,
+        member0_thread: Mutex<Option<std::thread::ThreadId>>,
+    }
+
+    impl Engine for Probe<'_> {
+        fn module(&self) -> &Module {
+            self.inner.module
+        }
+        fn mem(&self) -> &Memory {
+            &self.inner.mem
+        }
+        fn out(&self) -> &Mutex<String> {
+            &self.inner.out
+        }
+        fn tasks(&self) -> &std::sync::atomic::AtomicU64 {
+            &self.inner.tasks
+        }
+        fn cfg(&self) -> &RuntimeConfig {
+            &self.inner.cfg
+        }
+        fn chunk_log(&self) -> Option<&crate::engine::ChunkLog> {
+            None
+        }
+        fn trace_prefix(&self) -> &'static str {
+            "interp"
+        }
+        fn call_by_name(
+            &self,
+            name: &str,
+            args: Vec<RtVal>,
+            ctx: &ThreadCtx,
+        ) -> Result<Option<RtVal>, ExecError> {
+            if ctx.gtid == 0 {
+                *self.member0_thread.lock().unwrap() = Some(std::thread::current().id());
+            }
+            if self.panic_gtid == Some(ctx.gtid) {
+                panic!("member {} crashed", ctx.gtid);
+            }
+            self.inner.call_by_name(name, args, ctx)
+        }
+    }
+
+    fn fork_outlined(probe: &Probe) -> Result<Option<RtVal>, ExecError> {
+        let sym = probe
+            .inner
+            .module
+            .lookup_symbol("outlined")
+            .expect("outlined");
+        let args = vec![RtVal::P(Memory::encode_fn_ptr(sym.0)), RtVal::I(0)];
+        let ctx = ThreadCtx::initial();
+        ctx.pending_num_threads.set(Some(2));
+        dispatch(probe, "__kmpc_fork_call", args, &ctx)
+    }
+
+    /// The forking thread runs member 0 itself, and a panic in any member —
+    /// member 0 on the forking thread included — surfaces as `ThreadPanic`
+    /// rather than unwinding through the fork.
+    #[test]
+    fn forking_thread_is_member_zero_and_its_panic_is_contained() {
+        // No barrier: a panicking member must not strand a waiter, whose
+        // watchdog diagnostic would otherwise be the team's first error.
+        let m = barrier_module(&[0, 1]);
+        let probe = |panic_gtid| Probe {
+            inner: Interpreter::new(&m, RuntimeConfig::default()),
+            panic_gtid,
+            member0_thread: Mutex::new(None),
+        };
+        let p = probe(None);
+        fork_outlined(&p).expect("clean team");
+        assert_eq!(
+            *p.member0_thread.lock().unwrap(),
+            Some(std::thread::current().id()),
+            "member 0 must run on the forking thread"
+        );
+        for gtid in [0, 1] {
+            let p = probe(Some(gtid));
+            assert_eq!(
+                fork_outlined(&p),
+                Err(ExecError::ThreadPanic),
+                "member {gtid} panics"
+            );
+        }
     }
 
     /// Drives `for_static_init` directly and checks the partition laws.

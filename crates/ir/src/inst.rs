@@ -55,6 +55,7 @@ impl BinOpKind {
     }
 
     /// True for the floating-point ops.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(
             self,
@@ -109,6 +110,7 @@ impl CmpPred {
     }
 
     /// True for the floating-point predicates.
+    #[inline]
     pub fn is_float(self) -> bool {
         matches!(
             self,

@@ -40,6 +40,7 @@ impl std::fmt::Display for VerifyError {
 
 /// Verifies every function; returns all errors found.
 pub fn verify_module(m: &VmModule) -> Vec<VerifyError> {
+    let _span = omplt_trace::span("vm.verify");
     if omplt_trace::active() {
         omplt_trace::count("vm.verify.functions", m.funcs.len() as u64);
     }

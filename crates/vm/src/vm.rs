@@ -11,12 +11,20 @@
 //! * guest memory is the interpreter's atomic-word [`Memory`], so racy guest
 //!   programs degrade to relaxed-atomic semantics identically;
 //! * arithmetic goes through `omplt_interp::exec::{exec_bin, exec_cmp,
-//!   exec_cast}` — bit-identical results by construction;
+//!   exec_cast}` — bit-identical results by construction. Each is an
+//!   `#[inline(always)]` front that answers integer operands of an integer
+//!   type under a non-trapping op right here in the loop, plus an
+//!   `#[inline(never)]` general path (floats, pointers, mixed tags,
+//!   division, shifts) that the front calls for everything else; both
+//!   halves share one integer kernel. Memory's in-bounds `load`/`store`
+//!   inline too: its error texts are built out of line, on the cold path;
 //! * the whole OpenMP runtime (`__kmpc_fork_call` thread teams, static/
 //!   dynamic/guided/runtime schedules, barriers, `nowait`) is the generic
 //!   `omplt_interp::runtime::dispatch`, reached through the [`Engine`]
-//!   trait. Team threads run their own VM frames over the same shared
-//!   engine state.
+//!   trait. Team members run their own VM frames over the same shared
+//!   engine state: the forking thread runs member 0 itself, as OpenMP's
+//!   primary thread, and only the other `team − 1` members get spawned
+//!   threads.
 
 use crate::ops::{CallTarget, Op, PoolConst, VecVal, VmModule};
 use omplt_interp::engine::{self, ChunkLog, Engine};

@@ -155,7 +155,8 @@ fn time_trace_emits_valid_nested_json_covering_every_stage() {
 #[test]
 fn vm_compile_phases_nest_under_vm_compile() {
     // The bytecode compiler's three phases each get a span per function, so
-    // `--time-report` shows where `vm.compile` goes.
+    // `--time-report` shows where `vm.compile` goes; load-time verification
+    // of the result gets its own `vm.verify` span after it.
     let trace = temp_path("stencil.vm.trace.json");
     let out = ompltc()
         .arg(format!("--time-trace={}", trace.display()))
@@ -189,6 +190,16 @@ fn vm_compile_phases_nest_under_vm_compile() {
                 p.end
             );
         }
+    }
+    let verifies: Vec<&Span> = spans.iter().filter(|s| s.name == "vm.verify").collect();
+    assert!(!verifies.is_empty(), "no vm.verify span in:\n{text}");
+    for v in verifies {
+        assert!(
+            compiles.iter().any(|c| c.tid == v.tid && c.end <= v.start),
+            "vm.verify [{},{}) does not follow a vm.compile span",
+            v.start,
+            v.end
+        );
     }
 }
 
